@@ -3,7 +3,7 @@
 //! The reproduction synthesizes each case in well under a millisecond.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, synthesize_with, synthesize_with_options, OpAmpStyle, SearchOptions};
+use oasys::{synthesize, synthesize_with, synthesize_with_options, SearchOptions};
 use oasys_bench::harness::Bencher;
 use oasys_bench::summary;
 use oasys_process::builtin;
@@ -37,43 +37,21 @@ fn main() {
         });
     }
 
-    // Sequential vs. parallel style search on the same case — the
-    // comparison pair the report schema requires (summary::REQUIRED_ROWS),
-    // so the concurrency win stays visible run over run.
+    // Static feasibility pruning: 139.5 dB exceeds every style's gain
+    // ceiling on the 1.2 µm kit, so the sweep answers "infeasible"
+    // without executing a single plan step. The delta against the
+    // synthesize rows is the cost of a statically pruned answer
+    // (summary::REQUIRED_ROWS keeps the row visible).
     {
-        let spec = test_cases::spec_a();
-        let tel = Telemetry::disabled();
-        let sequential = SearchOptions::new().with_threads(1);
-        let parallel = SearchOptions::new().with_threads(OpAmpStyle::ALL.len());
-        // Interleaved like the telemetry pair: the schema gates on the
-        // ratio of these medians (summary::MIN_POOL_SPEEDUP_RATIO, with
-        // a single-core tolerance), so machine drift between the two
-        // sides would show up directly as a spurious gate failure.
-        b.bench_pair(
-            "style_search/case_a_threads_1",
-            || {
-                synthesize_with_options(black_box(&spec), black_box(&process), &sequential, &tel)
-                    .unwrap()
-            },
-            "style_search/case_a_threads_max",
-            || {
-                synthesize_with_options(black_box(&spec), black_box(&process), &parallel, &tel)
-                    .unwrap()
-            },
-        );
-
-        // Static feasibility pruning: 139.5 dB exceeds every style's
-        // gain ceiling on the 1.2 µm kit, so the sweep answers
-        // "infeasible" without executing a single plan step. The delta
-        // against the rows above is the cost of a statically pruned
-        // answer (summary::REQUIRED_ROWS keeps the row visible).
         let pruned_spec = test_cases::spec_a().with_dc_gain_db(139.5);
         let small_process = builtin::cmos_1p2um();
+        let options = SearchOptions::new();
+        let tel = Telemetry::disabled();
         b.bench("style_search/case_a_pruned", || {
             synthesize_with_options(
                 black_box(&pruned_spec),
                 black_box(&small_process),
-                &sequential,
+                &options,
                 &tel,
             )
             .unwrap_err()
@@ -128,6 +106,31 @@ fn main() {
             .run(&runner, &tel, |_| {})
             .unwrap()
         };
+
+        // The pool-speedup comparison pair: the verified sweep (each
+        // feasible job ~30–110 ms of simulation) at one batch worker vs.
+        // one worker per core — the job level, where parallelism pays.
+        // Interleaved like the other gated pairs: the schema gates on
+        // the ratio of these medians (summary::MIN_POOL_SPEEDUP_RATIO,
+        // with a single-core tolerance), so machine drift between the
+        // two sides would show up directly as a spurious gate failure.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let run_verified = |workers: usize| {
+            let runner = std::sync::Arc::new(SynthRunner::new());
+            let tel = Telemetry::disabled();
+            Batch::new(
+                black_box(make_jobs()),
+                BatchOptions::default().with_workers(workers),
+            )
+            .run(&runner, &tel, |_| {})
+            .unwrap()
+        };
+        b.bench_pair(
+            summary::WORKERS_1_ROW,
+            || run_verified(1),
+            summary::WORKERS_MAX_ROW,
+            || run_verified(cores),
+        );
         // The checksum-overhead comparison pair: the same sweep writing
         // an FNV-1a-sealed checkpoint line per job. The schema gates on
         // the ratio of the two medians (summary::MAX_CHECKSUM_OVERHEAD_RATIO

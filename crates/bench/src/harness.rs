@@ -10,6 +10,10 @@ use std::time::{Duration, Instant};
 const MEASURE_BUDGET: Duration = Duration::from_millis(250);
 /// Warm-up time before measuring.
 const WARMUP_BUDGET: Duration = Duration::from_millis(50);
+/// Fewest samples per benchmark, whatever the budget: a workload slower
+/// than the budget (a verified sweep) still gets a median of several
+/// samples rather than a single one.
+const MIN_SAMPLES: usize = 5;
 
 /// A registered group of benchmarks, printed as a table on `finish`.
 pub struct Bencher {
@@ -68,7 +72,7 @@ impl Bencher {
         let mut samples: Vec<Duration> = Vec::new();
         let mut total_iters: u64 = 0;
         let run_start = Instant::now();
-        while run_start.elapsed() < MEASURE_BUDGET {
+        while run_start.elapsed() < MEASURE_BUDGET || samples.len() < MIN_SAMPLES {
             let t = Instant::now();
             for _ in 0..batch {
                 black_box(f());
@@ -130,7 +134,7 @@ impl Bencher {
         let mut samples_b: Vec<Duration> = Vec::new();
         let mut total_iters: u64 = 0;
         let run_start = Instant::now();
-        while run_start.elapsed() < MEASURE_BUDGET * 2 {
+        while run_start.elapsed() < MEASURE_BUDGET * 2 || samples_a.len() < MIN_SAMPLES {
             let t = Instant::now();
             for _ in 0..batch {
                 black_box(f_a());

@@ -11,7 +11,7 @@ use oasys_telemetry::{json, RunReport};
 /// Schema identifier of the emitted document.
 pub const SCHEMA_NAME: &str = "oasys-bench";
 /// Schema version of the emitted document.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The untraced baseline row of the telemetry-overhead comparison.
 pub const BASELINE_ROW: &str = "synthesize/case_a";
@@ -23,20 +23,21 @@ pub const TELEMETRY_ROW: &str = "synthesize/case_a_telemetry";
 /// or `validate` — and with it `cargo xtask bench-schema` — fails.
 pub const MAX_TELEMETRY_OVERHEAD_RATIO: f64 = 1.10;
 
-/// The sequential row of the pool-speedup comparison.
-pub const THREADS_1_ROW: &str = "style_search/case_a_threads_1";
-/// The worker-per-style row of the pool-speedup comparison.
-pub const THREADS_MAX_ROW: &str = "style_search/case_a_threads_max";
+/// The one-worker row of the pool-speedup comparison: the verified
+/// 3×3 sweep with its jobs run one at a time.
+pub const WORKERS_1_ROW: &str = "batch/sweep_3x3_verified_workers_1";
+/// The full-width row of the pool-speedup comparison: the same
+/// verified sweep with one batch worker per available core.
+pub const WORKERS_MAX_ROW: &str = "batch/sweep_3x3_verified_workers_max";
 
-/// Floor on `pool_speedup_ratio` (sequential median over parallel
-/// median) on a multi-core host: fanning the style search out on the
-/// worker pool must not be slower than running it sequentially.
+/// Floor on `pool_speedup_ratio` (one-worker median over full-width
+/// median) on a multi-core host: fanning verified jobs out on the
+/// worker pool must not be slower than running them one at a time.
 pub const MIN_POOL_SPEEDUP_RATIO: f64 = 1.0;
 
-/// Floor on `pool_speedup_ratio` when `host_parallelism` is 1: a true
-/// speedup is impossible, so the gate only requires the pool's
-/// zero-worker inline path to stay within 5% of sequential — a
-/// measurement-noise tolerance, not a performance budget.
+/// Floor on `pool_speedup_ratio` when `host_parallelism` is 1: both
+/// rows then run one worker, so the gate only requires them to agree
+/// within 5% — a measurement-noise tolerance, not a performance budget.
 pub const MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE: f64 = 0.95;
 
 /// The plain-sweep baseline row of the checksum-overhead comparison.
@@ -55,11 +56,10 @@ pub const MAX_CHECKSUM_OVERHEAD_RATIO: f64 = 1.05;
 /// of a `busy` frame from a saturated server.
 pub const SHED_LATENCY_ROW: &str = "serve/shed_latency";
 
-/// Benchmark rows the report must always carry: the sequential (one
-/// worker) vs. parallel (one worker per style) style-search comparison
-/// on the same case, so the concurrency win stays visible run over run,
-/// plus the 3×3 batch sweep so batch-driver overhead on top of raw
-/// synthesis stays visible too, the same sweep with the fault plane
+/// Benchmark rows the report must always carry: the verified 3×3 sweep
+/// at one worker vs. one worker per core, so the job-level concurrency
+/// win stays visible run over run, plus the no-verify 3×3 batch sweep
+/// so batch-driver overhead on top of raw synthesis stays visible too, the same sweep with the fault plane
 /// armed on an inert site so the near-zero cost of carrying
 /// `oasys-faults` in the hot paths stays visible, a sweep whose
 /// spec is pruned before any plan executes so the cost of answering
@@ -70,8 +70,8 @@ pub const SHED_LATENCY_ROW: &str = "serve/shed_latency";
 /// the sealed-checkpoint sweep behind the `checksum_overhead_ratio`
 /// gate, and the client-observed shed latency of a saturated server.
 pub const REQUIRED_ROWS: [&str; 10] = [
-    "style_search/case_a_threads_1",
-    "style_search/case_a_threads_max",
+    WORKERS_1_ROW,
+    WORKERS_MAX_ROW,
     "style_search/case_a_pruned",
     CHECKSUM_BASELINE_ROW,
     "batch/sweep_3x3_chaos",
@@ -188,22 +188,22 @@ pub fn validate(text: &str) -> Result<String, String> {
         ));
     }
 
-    // The pool-speedup gate: sequential over parallel style-search
+    // The pool-speedup gate: one-worker over full-width verified-sweep
     // medians. The floor depends on the host — on one core the pool
     // cannot win, only stay out of the way.
     let speedup = doc
         .get("pool_speedup_ratio")
         .and_then(json::Json::as_num)
         .ok_or("missing `pool_speedup_ratio` number")?;
-    let sequential = median_of(THREADS_1_ROW)?;
-    let pooled = median_of(THREADS_MAX_ROW)?;
+    let sequential = median_of(WORKERS_1_ROW)?;
+    let pooled = median_of(WORKERS_MAX_ROW)?;
     if pooled <= 0.0 {
-        return Err(format!("{THREADS_MAX_ROW:?} median_ns must be positive"));
+        return Err(format!("{WORKERS_MAX_ROW:?} median_ns must be positive"));
     }
     let recomputed_speedup = sequential / pooled;
     if (recomputed_speedup - speedup).abs() > 1e-6 {
         return Err(format!(
-            "pool_speedup_ratio is {speedup}, but {THREADS_1_ROW:?} / {THREADS_MAX_ROW:?} \
+            "pool_speedup_ratio is {speedup}, but {WORKERS_1_ROW:?} / {WORKERS_MAX_ROW:?} \
              medians give {recomputed_speedup}"
         ));
     }
@@ -215,7 +215,7 @@ pub fn validate(text: &str) -> Result<String, String> {
     if recomputed_speedup < speedup_floor {
         return Err(format!(
             "pool speedup ratio {recomputed_speedup:.3} is under the {speedup_floor} floor \
-             ({THREADS_MAX_ROW} median {pooled} ns vs {THREADS_1_ROW} median {sequential} ns \
+             ({WORKERS_MAX_ROW} median {pooled} ns vs {WORKERS_1_ROW} median {sequential} ns \
              at host_parallelism {host_parallelism})"
         ));
     }
@@ -321,9 +321,9 @@ pub fn render(rows: &[BenchRow], telemetry: &RunReport) -> String {
         json::string(SCHEMA_NAME),
         SCHEMA_VERSION
     ));
-    // The sequential-vs-parallel comparison rows are only interpretable
-    // relative to the machine that produced them: on a single-core host
-    // the parallel sweep cannot win and only measures spawn overhead.
+    // The one-worker vs. full-width comparison rows are only
+    // interpretable relative to the machine that produced them: on a
+    // single-core host both rows run one worker.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     out.push_str(&format!("  \"host_parallelism\": {cores},\n"));
 
@@ -359,10 +359,11 @@ pub fn render(rows: &[BenchRow], telemetry: &RunReport) -> String {
         }
     }
 
-    // The pool-speedup headline: sequential over pooled style-search
-    // median, the number the schema gate holds above the host-dependent
-    // floor (MIN_POOL_SPEEDUP_RATIO / MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE).
-    if let (Some(sequential), Some(pooled)) = (median_of(THREADS_1_ROW), median_of(THREADS_MAX_ROW))
+    // The pool-speedup headline: one-worker over full-width verified
+    // sweep median, the number the schema gate holds above the
+    // host-dependent floor (MIN_POOL_SPEEDUP_RATIO /
+    // MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE).
+    if let (Some(sequential), Some(pooled)) = (median_of(WORKERS_1_ROW), median_of(WORKERS_MAX_ROW))
     {
         if pooled > 0.0 {
             out.push_str(&format!(
@@ -561,7 +562,7 @@ mod tests {
         validate(&compliant_report()).expect("speedup 1.0 passes the gate");
         // The pooled sweep at twice the sequential median is under any
         // floor (0.95 single-core, 1.0 multi-core).
-        let err = validate(&report_with_medians(&[(THREADS_MAX_ROW, 22)])).unwrap_err();
+        let err = validate(&report_with_medians(&[(WORKERS_MAX_ROW, 22)])).unwrap_err();
         assert!(err.contains("under the"), "{err}");
         assert!(err.contains("floor"), "{err}");
         // A ratio that disagrees with the rows is rejected outright.
@@ -588,7 +589,7 @@ mod tests {
         };
         // Sequential 23 ns, pooled 24 ns → ratio ≈ 0.958: inside the
         // single-core tolerance, under the multi-core floor.
-        let text = report_with_medians(&[(THREADS_1_ROW, 23), (THREADS_MAX_ROW, 24)]);
+        let text = report_with_medians(&[(WORKERS_1_ROW, 23), (WORKERS_MAX_ROW, 24)]);
         validate(&host(&text, 1)).expect("0.958 passes the single-core tolerance");
         let err = validate(&host(&text, 8)).unwrap_err();
         assert!(err.contains("floor"), "{err}");
@@ -603,9 +604,9 @@ mod tests {
 
     #[test]
     fn validate_rejects_missing_comparison_row() {
-        let text = compliant_report().replace("style_search/case_a_threads_max", "renamed/row");
+        let text = compliant_report().replace(WORKERS_MAX_ROW, "renamed/row");
         let err = validate(&text).unwrap_err();
-        assert!(err.contains("style_search/case_a_threads_max"), "{err}");
+        assert!(err.contains(WORKERS_MAX_ROW), "{err}");
     }
 
     #[test]
@@ -617,7 +618,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_schema_drift() {
-        let text = compliant_report().replace("\"version\": 5", "\"version\": 6");
+        let text = compliant_report().replace("\"version\": 6", "\"version\": 7");
         let err = validate(&text).unwrap_err();
         assert!(err.contains("version"), "{err}");
         assert!(validate("{}").is_err());

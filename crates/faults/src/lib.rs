@@ -43,8 +43,15 @@
 //! the plan executor, and the DC solver so a diverging job aborts at a
 //! checkpoint inside the computation instead of being abandoned on a
 //! detached thread.
+//!
+//! # Primitives
+//!
+//! [`primitives`] holds the one copy of each small numeric primitive
+//! the workspace shares (FNV-1a-64, SplitMix64, capped backoff). This
+//! crate has no dependencies, so every other crate can reach it.
 
 mod deadline;
+pub mod primitives;
 mod registry;
 mod spec;
 

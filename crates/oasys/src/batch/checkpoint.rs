@@ -8,7 +8,7 @@
 //! `infeasible`) are skipped; `failed` entries are kept for diagnosis
 //! but re-run, since a panic or timeout may have been environmental.
 //!
-//! Version 2 seals every record with a per-line FNV-1a checksum
+//! Every record is sealed with a per-line FNV-1a checksum
 //! ([`crate::integrity`]), appended as a 7th tab-separated field:
 //!
 //! ```text
@@ -27,23 +27,22 @@
 //! - **Torn final line** (kill mid-append): the unterminated tail is
 //!   dropped, the file is truncated back to its durable prefix, and
 //!   [`Checkpoint::recovered`] reports the repair.
-//! - **Corrupt interior line** (bit rot, bad sector — v2 files only):
-//!   any line whose checksum fails to verify is *quarantined* — dropped
+//! - **Corrupt interior line** (bit rot, bad sector): any line whose
+//!   checksum fails to verify is *quarantined* — dropped
 //!   from the completed set so its job re-runs, counted by
 //!   [`Checkpoint::quarantined`], and healed out of the file by an
 //!   atomic rewrite of the surviving lines. Resume never trusts a
 //!   damaged record and never discards the healthy remainder.
-//! - **Structural damage a crash or bit rot cannot explain** (bad
-//!   header; in legacy v1 files, any malformed terminated record; in v2
-//!   files, a record whose checksum *verifies* but whose fields are
-//!   malformed) is reported as [`CheckpointError::Corrupt`]; the
-//!   runner's policy ([`super::Batch::with_checkpoint`]) is to discard
-//!   such a file and restart the batch cleanly rather than trust it.
+//! - **Structural damage a crash or bit rot cannot explain** (an
+//!   unknown header, or a record whose checksum *verifies* but whose
+//!   fields are malformed) is reported as [`CheckpointError::Corrupt`];
+//!   the runner's policy ([`super::Batch::with_checkpoint`]) is to
+//!   discard such a file and restart the batch cleanly rather than
+//!   trust it.
 //!
-//! Version negotiation: the header names the format. v1 files (written
-//! before checksums existed) are still read — and appended to — in
-//! their own unsealed format, so an interrupted pre-upgrade run resumes
-//! cleanly. New checkpoints always start at v2.
+//! The header names the format; any header other than
+//! [`CHECKPOINT_HEADER`] — including the unsealed `v1` format — is
+//! refused.
 
 use crate::integrity::{self, LineIntegrity};
 use std::collections::HashMap;
@@ -52,13 +51,9 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// First line of every new checkpoint file; the version suffix gates
+/// First line of every checkpoint file; the version suffix gates
 /// format evolution.
 pub const CHECKPOINT_HEADER: &str = "oasys-batch-checkpoint v2";
-
-/// The legacy (pre-checksum) header: 6 unsealed tab-separated fields
-/// per record. Still read and appended to for backward compatibility.
-pub const CHECKPOINT_HEADER_V1: &str = "oasys-batch-checkpoint v1";
 
 /// How a checkpointed job ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,9 +138,6 @@ pub struct Checkpoint {
     completed: HashMap<u64, CheckpointEntry>,
     writer: Option<File>,
     recovered: bool,
-    /// `true` when appends seal their lines (v2 files and fresh files);
-    /// `false` when appending to a legacy v1 file in its own format.
-    sealed: bool,
     /// Checksum-failed lines quarantined (and healed away) on open.
     quarantined: usize,
 }
@@ -158,8 +150,7 @@ impl Checkpoint {
     /// mid-append — is treated as absent: the durable prefix is kept,
     /// the file is truncated back to it so later appends stay
     /// well-formed, and [`Checkpoint::recovered`] reports the repair.
-    /// In a v2 file, interior lines whose checksum fails are
-    /// quarantined (see [`Checkpoint::quarantined`]) and the file is
+    /// Interior lines whose checksum fails are quarantined (see [`Checkpoint::quarantined`]) and the file is
     /// atomically rewritten without them; the damaged jobs re-run.
     ///
     /// # Errors
@@ -171,7 +162,6 @@ impl Checkpoint {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let path = path.as_ref().to_path_buf();
         let mut recovered = false;
-        let mut sealed = true;
         let mut quarantined = 0usize;
         let completed = match std::fs::read_to_string(&path) {
             Ok(text) => {
@@ -199,15 +189,12 @@ impl Checkpoint {
                     HashMap::new()
                 } else {
                     let parsed = parse(&path, durable)?;
-                    sealed = parsed.sealed;
                     quarantined = parsed.quarantined;
                     if quarantined > 0 {
                         // Heal: rewrite the file with only the lines
                         // that verified, atomically. The quarantined
                         // jobs re-run and re-append fresh records.
-                        let mut healed = String::new();
-                        healed.push_str(parsed.header);
-                        healed.push('\n');
+                        let mut healed = format!("{CHECKPOINT_HEADER}\n");
                         for line in &parsed.good_lines {
                             healed.push_str(line);
                             healed.push('\n');
@@ -228,7 +215,6 @@ impl Checkpoint {
             completed,
             writer: None,
             recovered,
-            sealed,
             quarantined,
         })
     }
@@ -251,7 +237,6 @@ impl Checkpoint {
             completed: HashMap::new(),
             writer: None,
             recovered: false,
-            sealed: true,
             quarantined: 0,
         })
     }
@@ -308,7 +293,6 @@ impl Checkpoint {
             path: path.to_path_buf(),
             error,
         };
-        let sealed = self.sealed;
         let file = match &mut self.writer {
             Some(file) => file,
             None => {
@@ -337,13 +321,7 @@ impl Checkpoint {
         };
         let payload =
             format!("{fingerprint:016x}\t{word}\t{style}\t{area}\t{spec_label}\t{tech_label}");
-        let line = if sealed {
-            format!("{}\n", integrity::seal_line(&payload))
-        } else {
-            // Appending to a legacy v1 file: stay in its format so the
-            // v1 parser keeps accepting the whole file.
-            format!("{payload}\n")
-        };
+        let line = format!("{}\n", integrity::seal_line(&payload));
         // Fault site: simulate the process dying partway through this
         // very write — half the record's bytes land, no newline, and the
         // "crashed" writer reports the failure upstream.
@@ -407,14 +385,10 @@ fn rewrite_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
 /// The result of parsing a checkpoint body.
 struct Parsed<'a> {
     completed: HashMap<u64, CheckpointEntry>,
-    /// The header line, verbatim (needed to heal in the same version).
-    header: &'a str,
     /// Every line that verified, verbatim and in file order.
     good_lines: Vec<&'a str>,
     /// Checksum-failed lines dropped from the completed set.
     quarantined: usize,
-    /// `true` when the file is v2 (appends must seal).
-    sealed: bool,
 }
 
 /// Parses a checkpoint file body into its completed-job set, applying
@@ -425,16 +399,15 @@ fn parse<'a>(path: &Path, text: &'a str) -> Result<Parsed<'a>, CheckpointError> 
         detail,
     };
     let mut lines = text.lines();
-    let (header, sealed) = match lines.next() {
-        Some(CHECKPOINT_HEADER) => (CHECKPOINT_HEADER, true),
-        Some(CHECKPOINT_HEADER_V1) => (CHECKPOINT_HEADER_V1, false),
+    match lines.next() {
+        Some(CHECKPOINT_HEADER) => {}
         Some(other) => {
             return Err(corrupt(format!(
-                "bad header `{other}` (expected `{CHECKPOINT_HEADER}`)"
+                "unsupported format `{other}` (expected `{CHECKPOINT_HEADER}`)"
             )))
         }
         None => return Err(corrupt("empty file".to_owned())),
-    };
+    }
     // A kill can truncate the final record mid-line; every durable line
     // (including the last) ends in a newline, so a missing one means the
     // last record cannot be trusted.
@@ -446,19 +419,15 @@ fn parse<'a>(path: &Path, text: &'a str) -> Result<Parsed<'a>, CheckpointError> 
     let mut quarantined = 0usize;
     for (idx, line) in lines.enumerate() {
         let lineno = idx + 2;
-        let payload = if sealed {
-            match integrity::open_line(line) {
-                LineIntegrity::Sealed(payload) => payload,
-                // A v2 line that does not verify is bit rot, not a
-                // format violation: quarantine it (the job re-runs)
-                // instead of condemning the whole file.
-                LineIntegrity::Unsealed(_) | LineIntegrity::Corrupt => {
-                    quarantined += 1;
-                    continue;
-                }
+        let payload = match integrity::open_line(line) {
+            LineIntegrity::Sealed(payload) => payload,
+            // A line that does not verify is bit rot, not a format
+            // violation: quarantine it (the job re-runs) instead of
+            // condemning the whole file.
+            LineIntegrity::Corrupt => {
+                quarantined += 1;
+                continue;
             }
-        } else {
-            line
         };
         let fields: Vec<&str> = payload.split('\t').collect();
         let [fp, word, style, area, spec_label, tech_label] = fields.as_slice() else {
@@ -500,10 +469,8 @@ fn parse<'a>(path: &Path, text: &'a str) -> Result<Parsed<'a>, CheckpointError> 
     }
     Ok(Parsed {
         completed,
-        header,
         good_lines,
         quarantined,
-        sealed,
     })
 }
 
@@ -613,29 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_are_read_and_appended_in_their_own_format() {
-        let path = tmp("legacy-v1");
-        std::fs::write(
-            &path,
-            format!("{CHECKPOINT_HEADER_V1}\n0000000000000007\tinfeasible\t-\t-\ta\tb\n"),
-        )
-        .unwrap();
-        let mut cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 1, "v1 records still load");
-        cp.record(0xff, &CheckpointOutcome::Infeasible, "a", "b")
-            .unwrap();
-        drop(cp);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.lines().skip(1).all(|l| l.split('\t').count() == 6),
-            "appends to a v1 file stay unsealed: {text}"
-        );
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 2, "the mixed-age v1 file re-opens");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn flipped_byte_is_quarantined_and_healed_not_fatal() {
         let path = tmp("bitrot");
         let _ = std::fs::remove_file(&path);
@@ -717,35 +661,28 @@ mod tests {
     #[test]
     fn bad_header_and_malformed_records_are_corrupt() {
         let path = tmp("corrupt");
-        std::fs::write(&path, "not a checkpoint\n").unwrap();
-        assert!(matches!(
-            Checkpoint::open(&path),
-            Err(CheckpointError::Corrupt { .. })
-        ));
-        // v1 files have no checksums, so structural strictness is the
-        // only defense: any malformed terminated line condemns the file.
-        std::fs::write(&path, format!("{CHECKPOINT_HEADER_V1}\nnot\ttabs\n")).unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("6 tab-separated"), "{err}");
-        std::fs::write(
-            &path,
-            format!("{CHECKPOINT_HEADER_V1}\nzz\tok\ts\t0000000000000000\ta\tb\n"),
-        )
-        .unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("bad fingerprint"), "{err}");
-        // A v2 line whose checksum *verifies* but whose payload is
+        // Unknown headers, including the retired unsealed v1 format,
+        // are refused with the offending format named.
+        for header in ["not a checkpoint", "oasys-batch-checkpoint v1"] {
+            std::fs::write(&path, format!("{header}\n")).unwrap();
+            let err = Checkpoint::open(&path).unwrap_err();
+            assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains(header), "{err}");
+        }
+        // A line whose checksum *verifies* but whose payload is
         // malformed was written wrong, not damaged: still corrupt.
-        std::fs::write(
-            &path,
-            format!(
-                "{CHECKPOINT_HEADER}\n{}\n",
-                integrity::seal_line("not-a-record")
-            ),
-        )
-        .unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("6 tab-separated"), "{err}");
+        for (payload, expect) in [
+            ("not-a-record", "6 tab-separated"),
+            ("zz\tok\ts\t0000000000000000\ta\tb", "bad fingerprint"),
+        ] {
+            std::fs::write(
+                &path,
+                format!("{CHECKPOINT_HEADER}\n{}\n", integrity::seal_line(payload)),
+            )
+            .unwrap();
+            let err = Checkpoint::open(&path).unwrap_err();
+            assert!(err.to_string().contains(expect), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -41,6 +41,7 @@
 //! mc.akp_pct_um     = 2          # Pelgrom A_kp, %·µm
 //! ```
 
+use oasys_faults::primitives::{fnv1a64, fnv1a64_update, splitmix64};
 use oasys_process::CornerSpeed;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -136,35 +137,18 @@ impl Job {
     #[must_use]
     pub fn with_salt(mut self, salt: u64) -> Self {
         if salt != 0 {
-            self.fingerprint ^= mix64(salt);
+            self.fingerprint ^= splitmix64(salt);
         }
         self
     }
-}
-
-/// SplitMix64 finalizer: mixes a word so consecutive salts decorrelate.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over both inputs with a separator, so (`"ab"`, `"c"`) and
 /// (`"a"`, `"bc"`) cannot collide trivially.
 #[must_use]
 pub fn fingerprint(spec_text: &str, tech_text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in spec_text
-        .as_bytes()
-        .iter()
-        .chain(&[0x1f])
-        .chain(tech_text.as_bytes())
-    {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let hash = fnv1a64_update(fnv1a64(spec_text.as_bytes()), &[0x1f]);
+    fnv1a64_update(hash, tech_text.as_bytes())
 }
 
 /// Execution settings a manifest may carry (all optional — the CLI and

@@ -195,31 +195,11 @@ impl BatchOptions {
     pub fn search(&self) -> &crate::SearchOptions {
         &self.search
     }
-
-    /// The sleep before retry number `attempt` (1-based): the base
-    /// doubled per prior attempt, capped at the ceiling.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let options = BatchOptions::default()
-            .with_backoff(Duration::from_millis(50), Duration::from_millis(800));
-        assert_eq!(options.backoff(1), Duration::from_millis(50));
-        assert_eq!(options.backoff(2), Duration::from_millis(100));
-        assert_eq!(options.backoff(3), Duration::from_millis(200));
-        assert_eq!(options.backoff(10), Duration::from_millis(800));
-    }
 
     #[test]
     fn manifest_settings_overlay() {

@@ -17,7 +17,7 @@
 //! * Failures a [`JobRunner`] marks transient are retried up to the
 //!   retry cap, sleeping an exponential backoff (doubling from the base,
 //!   capped) between attempts.
-//! * Telemetry follows the engine's fork/absorb protocol: seeds are
+//! * Telemetry follows the fork/absorb protocol: seeds are
 //!   forked up front on the coordinator, each attempt records into its
 //!   own ring, and the surviving recordings are absorbed back in job
 //!   order — so a manually-clocked batch trace is byte-identical
@@ -29,6 +29,7 @@
 use super::checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome};
 use super::manifest::Job;
 use crate::batch::BatchOptions;
+use oasys_faults::primitives::capped_backoff;
 use oasys_faults::Deadline;
 use oasys_telemetry::{json, Recording, Telemetry, TelemetrySeed};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -867,7 +868,11 @@ fn execute_job<R: JobRunner>(
             AttemptOutcome::Done(Err(failure), recording) => {
                 if failure.transient && attempts <= options.retries() {
                     retried = true;
-                    std::thread::sleep(options.backoff(attempts));
+                    std::thread::sleep(capped_backoff(
+                        attempts,
+                        options.backoff_base,
+                        options.backoff_cap,
+                    ));
                     continue;
                 }
                 let kind = if failure.timed_out {

@@ -1126,27 +1126,23 @@ const RETRY_BACKOFF_BASE_MS: u64 = 25;
 /// Ceiling on any single retry delay.
 const RETRY_BACKOFF_CAP_MS: u64 = 400;
 
-/// SplitMix64: a tiny, seedable mixer used to jitter retry backoff so
-/// that a herd of clients retrying after the same `busy` response does
-/// not reconverge on the server in lockstep. Deterministic per
-/// `(seed, attempt)`, so tests can pin `--retry-seed`.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The jittered backoff before retry `attempt` (1-based): the capped
-/// exponential delay, scaled by a factor in [0.5, 1.0) drawn from the
-/// seeded mixer.
+/// exponential delay, scaled by a factor in [0.5, 1.0) drawn from a
+/// SplitMix64 step — so a herd of clients retrying after the same
+/// `busy` response does not reconverge on the server in lockstep.
+/// Deterministic per `(seed, attempt)`, so tests can pin `--retry-seed`.
 fn retry_backoff(attempt: u32, seed: u64) -> std::time::Duration {
-    let shift = (attempt - 1).min(10);
-    let base = (RETRY_BACKOFF_BASE_MS << shift).min(RETRY_BACKOFF_CAP_MS);
+    use oasys_faults::primitives::{capped_backoff, splitmix64};
+    use std::time::Duration;
+    let base = capped_backoff(
+        attempt,
+        Duration::from_millis(RETRY_BACKOFF_BASE_MS),
+        Duration::from_millis(RETRY_BACKOFF_CAP_MS),
+    );
     let jitter = splitmix64(seed ^ u64::from(attempt));
     // Map the high 32 bits onto [0.5, 1.0).
     let scale = 0.5 + f64::from((jitter >> 32) as u32) / f64::from(u32::MAX) * 0.5;
-    std::time::Duration::from_millis(((base as f64) * scale) as u64)
+    Duration::from_millis(((base.as_millis() as f64) * scale) as u64)
 }
 
 /// Whether a server response warrants a retry: only `busy` (overload

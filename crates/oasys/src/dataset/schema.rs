@@ -8,8 +8,6 @@
 use oasys_telemetry::json::Json;
 
 /// Validates one parsed dataset record against `oasys-dataset/2`.
-/// Version 1 payloads (written before per-line checksums) are
-/// structurally identical and remain valid.
 ///
 /// # Errors
 ///
@@ -18,7 +16,7 @@ pub fn validate_record(record: &Json) -> Result<(), String> {
     let obj = record.as_obj().ok_or("record is not a JSON object")?;
     require_str(record, "schema", Some("oasys-dataset"))?;
     let version = require_num(record, "v")?;
-    if version != 1.0 && version != 2.0 {
+    if version != 2.0 {
         return Err(format!("unsupported record version {version}"));
     }
     let id = require_num(record, "id")?;
@@ -224,7 +222,7 @@ mod tests {
 
     fn ok_record() -> String {
         concat!(
-            "{\"schema\":\"oasys-dataset\",\"v\":1,\"id\":7,",
+            "{\"schema\":\"oasys-dataset\",\"v\":2,\"id\":7,",
             "\"spec\":{\"label\":\"sample-000007\",\"fields\":{\"dc_gain_db\":60}},",
             "\"tech\":{\"base\":\"cmos-5um\",\"label\":\"cmos-5um @ slow_85c_100pct\",",
             "\"corner\":{\"speed\":\"slow\",\"temp_c\":85,\"supply_scale\":1}},",
@@ -244,7 +242,7 @@ mod tests {
     #[test]
     fn rejects_wrong_schema_version_and_outcome() {
         for (needle, replacement, expect) in [
-            ("\"v\":1", "\"v\":3", "version"),
+            ("\"v\":2", "\"v\":1", "version"),
             ("\"outcome\":\"ok\"", "\"outcome\":\"maybe\"", "outcome"),
             ("\"speed\":\"slow\"", "\"speed\":\"cold\"", "speed"),
             ("\"seed\":\"0000000000000001\"", "\"seed\":\"zz\"", "hex"),

@@ -14,9 +14,8 @@
 //! append-and-flush crash can inflict) is truncated away; an interior
 //! line whose seal fails to verify (bit rot) is *quarantined* — left in
 //! place but dropped from the resume index, so exactly that point
-//! re-runs and its fresh line supersedes the damaged one. Legacy
-//! unsealed (`oasys-dataset/1`) lines that still parse are accepted, so
-//! pre-checksum partials resume cleanly.
+//! re-runs and its fresh line supersedes the damaged one. An unsealed
+//! line counts as corrupt.
 //!
 //! When every point has a line, [`ShardSink::finalize`] publishes the
 //! shard atomically: records are re-read from the partial *by offset*
@@ -309,15 +308,12 @@ pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// Extracts the `"id"` of a record line, verifying its checksum seal
-/// (when present) and that the payload is parseable JSON — the salvage
-/// gate. A torn line, a seal that fails to verify, or unparseable JSON
-/// all fail here; legacy unsealed lines that parse are accepted.
+/// and that the payload is parseable JSON — the salvage gate. A torn
+/// line, a missing seal, a seal that fails to verify, or unparseable
+/// JSON all fail here.
 #[must_use]
 pub fn parse_record_id(line: &str) -> Option<usize> {
-    let payload = match integrity::open_line(line) {
-        LineIntegrity::Sealed(payload) | LineIntegrity::Unsealed(payload) => payload,
-        LineIntegrity::Corrupt => return None,
-    };
+    let payload = open_record_line(line)?;
     let value = json::parse(payload.trim_end()).ok()?;
     let id = value.get("id")?.as_num()?;
     if id.fract() != 0.0 || id < 0.0 {
@@ -326,13 +322,12 @@ pub fn parse_record_id(line: &str) -> Option<usize> {
     Some(id as usize)
 }
 
-/// Strips a line's checksum seal (when present and valid), returning
-/// the record payload ready for `json::parse`. Corrupt lines return
-/// `None`.
+/// Strips a line's checksum seal (when valid), returning the record
+/// payload ready for `json::parse`. Corrupt lines return `None`.
 #[must_use]
 pub fn open_record_line(line: &str) -> Option<&str> {
     match integrity::open_line(line) {
-        LineIntegrity::Sealed(payload) | LineIntegrity::Unsealed(payload) => Some(payload),
+        LineIntegrity::Sealed(payload) => Some(payload),
         LineIntegrity::Corrupt => None,
     }
 }
@@ -371,19 +366,6 @@ mod tests {
         drop(sink);
         let text = std::fs::read_to_string(shard_partial_path(&dir, 0, 1)).unwrap();
         assert_eq!(text, format!("{}\n", sealed(0)));
-    }
-
-    #[test]
-    fn legacy_unsealed_partials_still_resume() {
-        let dir = crate::dataset::test_dir("sink_legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            shard_partial_path(&dir, 0, 1),
-            format!("{}\n{}\n", line(0), line(2)),
-        )
-        .unwrap();
-        let sink = ShardSink::open(&dir, 0, 1).unwrap();
-        assert_eq!(sink.recorded_ids(), vec![0, 2]);
     }
 
     #[test]

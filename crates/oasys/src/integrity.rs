@@ -13,10 +13,9 @@
 //! ```
 //!
 //! Readers [`open_line`] each line: a line whose seal verifies is
-//! trusted, a line without a seal is a legacy (pre-checksum) line and
-//! is accepted for backward compatibility, and a line whose seal fails
-//! is **corrupt** — the reader quarantines it (the record or job simply
-//! re-runs) instead of trusting it or discarding the whole file.
+//! trusted, and a line whose seal fails — or that carries no seal at
+//! all — is **corrupt**: the reader quarantines it (the record or job
+//! simply re-runs) instead of trusting it or discarding the whole file.
 //!
 //! The seal detects *any* single- or multi-byte damage to the line,
 //! including damage to the checksum itself, because the checksum is
@@ -24,18 +23,7 @@
 //! produce a verifying line without also forging the 64-bit FNV image
 //! of the payload.
 
-/// FNV-1a 64-bit hash — the same offset basis and prime as the batch
-/// manifest fingerprint, kept dependency-free and byte-stable forever
-/// (sealed files must verify across releases).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use oasys_faults::primitives::fnv1a64;
 
 /// Seals one payload line (no trailing newline) with its checksum
 /// suffix: `"{payload}\t{fnv1a64:016x}"`.
@@ -50,27 +38,21 @@ pub enum LineIntegrity<'a> {
     /// The line carries a seal and it verifies; the payload (seal
     /// stripped) is safe to parse.
     Sealed(&'a str),
-    /// The line carries no seal at all — a legacy line written before
-    /// checksumming existed. Accepted as-is for backward compatibility.
-    Unsealed(&'a str),
-    /// The line carries a seal that does not verify (or a mangled
-    /// seal). The payload must not be trusted; quarantine and re-run.
+    /// The line carries a seal that does not verify, a mangled seal,
+    /// or no seal at all. The payload must not be trusted; quarantine
+    /// and re-run.
     Corrupt,
 }
 
 /// Classifies one line (trailing newline tolerated and ignored).
 ///
 /// The seal is the text after the *last* tab, so sealed payloads may
-/// themselves contain tabs (batch checkpoint lines do). The flip side:
-/// this classifier is only meaningful for formats whose *unsealed*
-/// lines never end in a 16-hex-digit tab-separated field — true for
-/// JSON record lines (JSON escapes raw tabs) and enforced for
-/// checkpoints by the file-header version.
+/// themselves contain tabs (batch checkpoint lines do).
 #[must_use]
 pub fn open_line(line: &str) -> LineIntegrity<'_> {
     let line = line.strip_suffix('\n').unwrap_or(line);
     let Some(tab) = line.rfind('\t') else {
-        return LineIntegrity::Unsealed(line);
+        return LineIntegrity::Corrupt;
     };
     let (payload, seal) = (&line[..tab], &line[tab + 1..]);
     if seal.len() != 16 || !seal.bytes().all(|b| b.is_ascii_hexdigit()) {
@@ -87,14 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
     fn sealed_lines_round_trip() {
         for payload in ["{\"id\":7}", "", "tabs\tinside\tpayload", "unicode µ"] {
             let sealed = seal_line(payload);
@@ -109,15 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn lines_without_a_seal_are_unsealed() {
-        assert_eq!(
-            open_line("{\"id\":3}"),
-            LineIntegrity::Unsealed("{\"id\":3}")
-        );
-        assert_eq!(open_line(""), LineIntegrity::Unsealed(""));
-    }
-
-    #[test]
     fn no_flipped_byte_yields_a_sealed_line() {
         let sealed = seal_line("{\"id\":42,\"outcome\":\"ok\"}");
         for i in 0..sealed.len() {
@@ -126,9 +91,8 @@ mod tests {
             let Ok(line) = String::from_utf8(bytes) else {
                 continue;
             };
-            // Damage to payload or seal verifies as Corrupt; damage to
-            // the separator tab degrades to an Unsealed line whose
-            // payload no longer parses — either way, never Sealed.
+            // Damage to payload, seal, or the separator tab: never
+            // Sealed.
             assert!(
                 !matches!(open_line(&line), LineIntegrity::Sealed(_)),
                 "flipping byte {i} went undetected: {line:?}"
@@ -137,12 +101,15 @@ mod tests {
     }
 
     #[test]
-    fn mangled_seals_are_corrupt_not_unsealed() {
-        assert_eq!(open_line("{\"id\":1}\tdeadbeef"), LineIntegrity::Corrupt);
-        assert_eq!(
-            open_line("{\"id\":1}\tzzzzzzzzzzzzzzzz"),
-            LineIntegrity::Corrupt
-        );
-        assert_eq!(open_line("payload\t"), LineIntegrity::Corrupt);
+    fn mangled_or_missing_seals_are_corrupt() {
+        for line in [
+            "{\"id\":1}\tdeadbeef",
+            "{\"id\":1}\tzzzzzzzzzzzzzzzz",
+            "payload\t",
+            "{\"id\":3}",
+            "",
+        ] {
+            assert_eq!(open_line(line), LineIntegrity::Corrupt, "{line:?}");
+        }
     }
 }

@@ -69,6 +69,6 @@ pub use spec::{OpAmpSpec, OpAmpSpecBuilder, SpecError};
 pub use styles::{analyze_all_plans, analyze_plan, OpAmpDesign, OpAmpStyle, StyleError};
 pub use synth::{
     synthesize, synthesize_with, synthesize_with_cache, synthesize_with_options, OpAmpDesigner,
-    StyleOutcome, Synthesis, SynthesisError, STYLE_THREADS_ENV,
+    StyleOutcome, Synthesis, SynthesisError,
 };
 pub use verify::{verify, verify_with, Measured, VerifyError};

@@ -153,11 +153,7 @@ fn failed_jobs_dump_a_flight_recorder_tail_into_their_records() {
     let runner = Arc::new(
         SynthRunner::new()
             .with_verify(false)
-            // Force a sequential style sweep: a panic on a forked style
-            // worker unwinds before its recording is absorbed, so only
-            // plans run on the job thread land in the job's flight ring
-            // (OASYS_STYLE_THREADS must not change what this asserts).
-            .with_search(execute_everything().with_threads(1)),
+            .with_search(execute_everything()),
     );
     let report = Batch::new(paper_jobs(), fast_options())
         .run(&runner, &Telemetry::disabled(), |_| {})
@@ -197,8 +193,7 @@ fn delay_fault_trips_the_cooperative_deadline_not_the_backstop() {
     let runner = Arc::new(
         SynthRunner::new()
             .with_verify(false)
-            // One style per job so the stall cost is thread-count
-            // independent (OASYS_STYLE_THREADS=1 must behave the same).
+            // One style per job: one stall per attempt.
             .with_search(execute_everything().with_styles(vec!["two-stage".to_owned()])),
     );
     let report = Batch::new(

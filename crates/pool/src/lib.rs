@@ -242,9 +242,11 @@ fn spawn_worker(inner: Arc<PoolInner>, index: usize, deaths: u32) {
 /// the slot's lineage depth, driving the exponential backoff.
 fn run_worker(inner: &Arc<PoolInner>, index: usize, deaths: u32) {
     if deaths > 0 {
-        let shift = (deaths - 1).min(6);
-        let backoff = (RESPAWN_BACKOFF_BASE_MS << shift).min(RESPAWN_BACKOFF_CAP_MS);
-        std::thread::sleep(std::time::Duration::from_millis(backoff));
+        std::thread::sleep(oasys_faults::primitives::capped_backoff(
+            deaths,
+            std::time::Duration::from_millis(RESPAWN_BACKOFF_BASE_MS),
+            std::time::Duration::from_millis(RESPAWN_BACKOFF_CAP_MS),
+        ));
     }
     if catch_unwind(AssertUnwindSafe(|| worker_loop(inner))).is_err() {
         inner.replaced.fetch_add(1, Ordering::Relaxed);

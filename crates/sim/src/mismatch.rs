@@ -23,6 +23,7 @@
 //! through the same three binding sites) applies that instance's draws.
 //! Outside any scope, [`bind`] is exactly [`Mosfet::new`].
 
+use oasys_faults::primitives::{fnv1a64, splitmix64};
 use oasys_mos::Mosfet;
 use oasys_netlist::MosInstance;
 use oasys_process::Process;
@@ -91,7 +92,7 @@ impl Mismatch {
         } else {
             1.0
         };
-        let key = splitmix64(self.seed ^ fnv1a(name.as_bytes()));
+        let key = splitmix64(self.seed ^ fnv1a64(name.as_bytes()));
         let (g_vth, g_kp) = gaussian_pair(key);
         DeviceDelta {
             delta_vth_v: self.avt_v_um * inv_sqrt_area * g_vth,
@@ -143,24 +144,6 @@ pub fn bind(instance: &MosInstance, process: &Process) -> Mosfet {
         }
         _ => device,
     }
-}
-
-/// SplitMix64: the finalizer that turns a key into a well-mixed word.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over bytes — the same family the batch fingerprint uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Two independent standard-normal draws from one 64-bit key, via one

@@ -12,6 +12,7 @@
 //! its output by name (or by record position), so rendered reports stay
 //! byte-identical however the `u32`s were handed out.
 
+use oasys_faults::primitives::{fnv1a64, fnv1a64_update};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -54,19 +55,6 @@ fn table() -> &'static RwLock<Interner> {
     })
 }
 
-/// FNV-1a over one or two byte slices (the two-part form hashes the
-/// concatenation without materialising it).
-fn fnv1a(parts: [&[u8]; 2]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &byte in part {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 /// Interns `name`, returning its symbol. The fast path (already
 /// registered) is a read-lock, a hash, and one string compare.
 #[must_use]
@@ -79,7 +67,8 @@ pub fn sym(name: &str) -> Sym {
 /// names like `style:<name>` and `step:<name>`.
 #[must_use]
 pub fn sym2(prefix: &str, suffix: &str) -> Sym {
-    let hash = fnv1a([prefix.as_bytes(), suffix.as_bytes()]);
+    // Streaming FNV-1a hashes the concatenation without materialising it.
+    let hash = fnv1a64_update(fnv1a64(prefix.as_bytes()), suffix.as_bytes());
     let matches = |candidate: &str| {
         candidate.len() == prefix.len() + suffix.len()
             && candidate.as_bytes()[..prefix.len()] == *prefix.as_bytes()

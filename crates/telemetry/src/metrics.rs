@@ -12,7 +12,7 @@
 //! `b ≥ 1` covers `[2^(b-1), 2^b)`. Bucket assignment is a pure integer
 //! function of the value, so identical observations produce identical
 //! bucket counts on every run — the determinism the test suite pins
-//! under `ManualClock` at any thread count.
+//! under `ManualClock` at any worker count.
 
 use std::collections::BTreeMap;
 

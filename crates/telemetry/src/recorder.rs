@@ -18,7 +18,8 @@
 //! interior mutability and is shared as `&Telemetry`. Parallel stages
 //! use the fork/absorb protocol: [`Telemetry::fork_seed`] hands each
 //! worker a `Send` seed, the worker records into its own handle, and
-//! the parent splices the raw rings back **in declaration order** via
+//! the parent splices the raw rings back **in a fixed order** (the
+//! batch runner uses job order) via
 //! [`Telemetry::into_recording`] + [`Telemetry::absorb`] — which
 //! re-bases span sequence numbers so the merged ring is byte-identical
 //! to a sequential recording of the same work.
@@ -1110,8 +1111,8 @@ mod tests {
     #[test]
     fn absorbed_rings_match_a_sequential_recording() {
         // The same work recorded sequentially and via fork/absorb must
-        // render byte-identically — the property the parallel style
-        // search relies on for thread-count-independent reports.
+        // render byte-identically — the property the batch runner
+        // relies on for worker-count-independent reports.
         let record = |tel: &Telemetry| {
             let span = tel.span(|| "style:x".into());
             span.annotate("outcome", || "feasible".into());
