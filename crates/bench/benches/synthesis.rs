@@ -3,7 +3,7 @@
 //! The reproduction synthesizes each case in well under a millisecond.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, synthesize_with, synthesize_with_options, SearchOptions};
+use oasys::{synthesize, synthesize_with, synthesize_with_options, verify, SearchOptions};
 use oasys_bench::harness::Bencher;
 use oasys_bench::summary;
 use oasys_process::builtin;
@@ -255,6 +255,22 @@ fn main() {
         drop(hold_queue);
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
         runner.join().expect("bench server thread");
+    }
+
+    // One full simulator verification of case A — offset null, DC, AC,
+    // swing sweep, slew, CMRR, noise and PSRR — the bulk of a verified
+    // answer (summary::REQUIRED_ROWS keeps the row in the report).
+    {
+        let spec = test_cases::spec_a();
+        let design = synthesize(&spec, &process).unwrap().selected().clone();
+        b.bench(summary::VERIFY_ROW, || {
+            verify(
+                black_box(&design),
+                black_box(&process),
+                spec.load().farads(),
+            )
+            .unwrap()
+        });
     }
 
     let spec = test_cases::spec_a().with_dc_gain_db(80.0);

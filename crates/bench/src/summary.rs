@@ -11,7 +11,7 @@ use oasys_telemetry::{json, RunReport};
 /// Schema identifier of the emitted document.
 pub const SCHEMA_NAME: &str = "oasys-bench";
 /// Schema version of the emitted document.
-pub const SCHEMA_VERSION: u32 = 6;
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// The untraced baseline row of the telemetry-overhead comparison.
 pub const BASELINE_ROW: &str = "synthesize/case_a";
@@ -56,6 +56,11 @@ pub const MAX_CHECKSUM_OVERHEAD_RATIO: f64 = 1.05;
 /// of a `busy` frame from a saturated server.
 pub const SHED_LATENCY_ROW: &str = "serve/shed_latency";
 
+/// The verification row: one full simulator verification of case A
+/// (offset null, DC, AC, swing sweep, slew, CMRR, noise, PSRR) — the
+/// bulk of every verified answer. Required, with no ratio gate.
+pub const VERIFY_ROW: &str = "verify/case_a_full";
+
 /// Benchmark rows the report must always carry: the verified 3×3 sweep
 /// at one worker vs. one worker per core, so the job-level concurrency
 /// win stays visible run over run, plus the no-verify 3×3 batch sweep
@@ -68,8 +73,9 @@ pub const SHED_LATENCY_ROW: &str = "serve/shed_latency";
 /// sampled dataset shard generated end-to-end (plan expansion, batch
 /// execution, flushed JSONL sink) so dataset throughput stays visible,
 /// the sealed-checkpoint sweep behind the `checksum_overhead_ratio`
-/// gate, and the client-observed shed latency of a saturated server.
-pub const REQUIRED_ROWS: [&str; 10] = [
+/// gate, the client-observed shed latency of a saturated server, and
+/// one full verification of case A so simulator cost stays visible.
+pub const REQUIRED_ROWS: [&str; 11] = [
     WORKERS_1_ROW,
     WORKERS_MAX_ROW,
     "style_search/case_a_pruned",
@@ -80,6 +86,7 @@ pub const REQUIRED_ROWS: [&str; 10] = [
     SHED_LATENCY_ROW,
     BASELINE_ROW,
     TELEMETRY_ROW,
+    VERIFY_ROW,
 ];
 
 /// Counters the report's instrumented run must expose. `engine.cache_hits`
@@ -517,7 +524,7 @@ mod tests {
     fn validate_accepts_a_compliant_report() {
         let text = compliant_report();
         let summary = validate(&text).expect("compliant report validates");
-        assert!(summary.contains("10 bench rows"), "{summary}");
+        assert!(summary.contains("11 bench rows"), "{summary}");
         assert!(summary.contains("telemetry overhead 1.000"), "{summary}");
         assert!(summary.contains("checksum overhead 1.000"), "{summary}");
     }
@@ -618,7 +625,10 @@ mod tests {
 
     #[test]
     fn validate_rejects_schema_drift() {
-        let text = compliant_report().replace("\"version\": 6", "\"version\": 7");
+        let text = compliant_report().replace(
+            &format!("\"version\": {SCHEMA_VERSION}"),
+            &format!("\"version\": {}", SCHEMA_VERSION + 1),
+        );
         let err = validate(&text).unwrap_err();
         assert!(err.contains("version"), "{err}");
         assert!(validate("{}").is_err());

@@ -65,7 +65,9 @@
 //! must not be able to starve the accept loop). The pool is supervised:
 //! a panicking worker thread is replaced, and the `health` op reports
 //! `workers_replaced`. Each admitted connection becomes one pool job.
-//! The accept loop is non-blocking and polls a shutdown flag (set by
+//! The accept loop is non-blocking: between passes it sleeps in
+//! `poll(2)` on the listener, waking as soon as a connection arrives
+//! and at least every 10 ms to check a shutdown flag (set by
 //! the `shutdown` op, [`Server::shutdown_flag`], or SIGTERM via
 //! [`install_sigterm_drain`]); on shutdown it stops accepting, sheds
 //! the queue, and the surrounding pool scope joins every in-flight
@@ -113,7 +115,8 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 16;
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Default quiet period after congestion before brownout exits.
 pub const DEFAULT_BROWNOUT_COOLDOWN: Duration = Duration::from_millis(500);
-/// How often the accept loop re-checks the shutdown flag.
+/// Longest the accept loop waits for a connection before it re-checks
+/// the shutdown flag, SIGTERM, queue deadlines and brownout cooldown.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration for [`Server::bind`].
@@ -357,6 +360,7 @@ impl Server {
                 }
                 let mut progressed = false;
                 let mut congested = false;
+                let mut accept_failed = false;
                 // Drain pending accepts into the bounded queue; overflow
                 // is shed immediately with a retryable busy frame.
                 loop {
@@ -376,10 +380,14 @@ impl Server {
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // WouldBlock: no more pending connections. Other
-                        // accept errors are connection-scoped (e.g. the
-                        // peer hung up mid-handshake); keep serving.
-                        Err(_) => break,
+                        // No more pending connections.
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        // Other accept errors are connection-scoped (e.g.
+                        // the peer hung up mid-handshake); keep serving.
+                        Err(_) => {
+                            accept_failed = true;
+                            break;
+                        }
                     }
                 }
                 // Deadline-aware shedding: a connection that has already
@@ -424,7 +432,15 @@ impl Server {
                     stats.brownout_exits.fetch_add(1, Ordering::Relaxed);
                 }
                 if !progressed {
-                    std::thread::sleep(ACCEPT_POLL);
+                    // Sleep until a connection arrives (or the tick
+                    // passes). After a failed accept the listener may
+                    // stay readable (e.g. out of descriptors), so wait
+                    // out the tick instead of spinning on it.
+                    if accept_failed {
+                        std::thread::sleep(ACCEPT_POLL);
+                    } else {
+                        wait_for_connection(&self.listener, ACCEPT_POLL);
+                    }
                 }
             }
             // Shutdown: stop accepting and shed whatever is still
@@ -835,10 +851,61 @@ pub fn op_request(op: &str) -> String {
 pub fn request(socket: &Path, body: &str) -> io::Result<String> {
     let mut stream = UnixStream::connect(socket)?;
     fail_point!("serve.client.stall");
-    write_frame(&mut stream, body)?;
-    let response = read_frame(&mut stream)?;
+    if let Err(e) = write_frame(&mut stream, body) {
+        // A shedding server writes `busy` and closes without reading
+        // the request, so the write can meet a closed peer while the
+        // answer already waits in the receive buffer: read it, and
+        // report the write error only if there is none.
+        if !matches!(
+            e.kind(),
+            io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+        ) {
+            return Err(e);
+        }
+        return read_response(&mut stream).map_err(|_| e);
+    }
+    read_response(&mut stream)
+}
+
+fn read_response(stream: &mut UnixStream) -> io::Result<String> {
+    let response = read_frame(stream)?;
     String::from_utf8(response)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response frame is not UTF-8"))
+}
+
+/// Blocks until `listener` has a pending connection or `timeout`
+/// passes, whichever is first; an interrupted or failed wait just
+/// returns early (the accept loop re-checks everything anyway).
+fn wait_for_connection(listener: &UnixListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    // Hand-declared `poll(2)`, like `signal(2)` below: `struct pollfd`
+    // and `nfds_t` as the C headers define them.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+    const POLLIN: i16 = 0x1;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    let mut fds = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fds` is one valid, exclusively borrowed `pollfd` for the
+    // whole call, matching `nfds = 1`, and the descriptor stays open
+    // because `listener` is borrowed across the call.
+    unsafe {
+        poll(&mut fds, 1, timeout_ms);
+    }
 }
 
 // ---------------------------------------------------------------------------

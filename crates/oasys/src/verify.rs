@@ -16,7 +16,7 @@ use crate::styles::OpAmpDesign;
 use oasys_netlist::{Circuit, NodeId, SourceValue};
 use oasys_process::Process;
 use oasys_sim::ac::{self, AcSweepSpec, SolveAcError};
-use oasys_sim::dc::{self, SolveDcError};
+use oasys_sim::dc::{self, DcSolution, SolveDcError};
 use oasys_sim::metrics::{output_swing, AcMetrics, Bode};
 use oasys_sim::sweep;
 use oasys_sim::tran;
@@ -271,7 +271,7 @@ pub fn verify_with(
     // stimulus on both inputs; CMRR = A_dm / A_cm.
     let cmrr = {
         let _s = tel.span_sym(v.cmrr);
-        measure_cmrr(&bench, process, out, metrics.dc_gain.db())
+        measure_cmrr(&bench, process, &dc_solution, out, metrics.dc_gain.db())
     };
 
     // Input-referred noise at 1 kHz (well inside the open-loop passband).
@@ -285,7 +285,14 @@ pub fn verify_with(
     // Positive-supply rejection: re-excite with the AC stimulus on VDD.
     let psrr = {
         let _s = tel.span_sym(v.psrr);
-        measure_rejection(&bench, process, out, metrics.dc_gain.db(), "VDD")
+        measure_rejection(
+            &bench,
+            process,
+            &dc_solution,
+            out,
+            metrics.dc_gain.db(),
+            "VDD",
+        )
     };
 
     let measured = Measured {
@@ -309,8 +316,15 @@ pub fn verify_with(
 
 /// Measures the common-mode rejection ratio: the open-loop bench is
 /// re-excited with the AC stimulus on *both* inputs, and
-/// `CMRR = A_dm − A_cm` in dB at low frequency.
-fn measure_cmrr(bench: &Circuit, process: &Process, out: NodeId, adm_db: f64) -> Option<f64> {
+/// `CMRR = A_dm − A_cm` in dB at low frequency. Only AC magnitudes
+/// change, so the bench's DC point `dc` is reused.
+fn measure_cmrr(
+    bench: &Circuit,
+    process: &Process,
+    dc: &DcSolution,
+    out: NodeId,
+    adm_db: f64,
+) -> Option<f64> {
     let mut cm_bench = bench.clone();
     // VIN gets the same unit AC stimulus VIP already carries.
     if let Some(oasys_netlist::Element::Vsource(v)) = cm_bench.element_mut("VIN") {
@@ -319,17 +333,19 @@ fn measure_cmrr(bench: &Circuit, process: &Process, out: NodeId, adm_db: f64) ->
         return None;
     }
     let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve(&cm_bench, process, &spec).ok()?;
+    let ac_solution = ac::solve_at(&cm_bench, process, dc, &spec).ok()?;
     let acm = ac_solution.transfer(out)[0].abs().max(1e-12);
     Some(adm_db - 20.0 * acm.log10())
 }
 
 /// Measures a supply-rejection ratio: move the unit AC stimulus from the
 /// input onto the named supply source and compare against the
-/// differential gain: `xSRR = A_dm − A_supply` in dB.
+/// differential gain: `xSRR = A_dm − A_supply` in dB. Only AC magnitudes
+/// change, so the bench's DC point `dc` is reused.
 fn measure_rejection(
     bench: &Circuit,
     process: &Process,
+    dc: &DcSolution,
     out: NodeId,
     adm_db: f64,
     supply: &str,
@@ -344,7 +360,7 @@ fn measure_rejection(
         return None;
     }
     let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve(&sr_bench, process, &spec).ok()?;
+    let ac_solution = ac::solve_at(&sr_bench, process, dc, &spec).ok()?;
     let a_supply = ac_solution.transfer(out)[0].abs().max(1e-12);
     Some(adm_db - 20.0 * a_supply.log10())
 }

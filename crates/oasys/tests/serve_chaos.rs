@@ -2,7 +2,8 @@
 //! `serve.request.read`, `serve.client.stall`, and `pool.worker.panic`
 //! sites must fail **one request alone** — a structured error response
 //! on that connection — while the server keeps serving; stalled peers
-//! must be evicted by the socket I/O deadline; sustained overload must
+//! must be evicted by the socket I/O deadline; a shed client must still
+//! read its `busy` answer; sustained overload must
 //! trip brownout (degraded, unverified synthesis) and recover; and a
 //! panicking handler-pool worker must be replaced by the supervisor.
 //!
@@ -296,6 +297,52 @@ fn sustained_overload_trips_brownout_and_synthesis_degrades() {
     let report = server.join().unwrap();
     assert!(report.brownout_entries >= 1, "{report:?}");
     assert!(report.degraded >= 1, "{report:?}");
+}
+
+/// A shed connection always receives its `busy` frame. The server
+/// answers as soon as the connection arrives and closes it without
+/// reading the request, so the client's write can meet a closed socket;
+/// the answer is still waiting in its receive buffer and must be read.
+#[test]
+fn shed_connections_always_receive_their_busy_frame() {
+    let _faults = FaultGuard::acquire();
+    let socket = socket_path("shed");
+    let server = start_server_with(
+        ServeOptions::new(&socket)
+            .with_workers(1)
+            .with_max_inflight(1)
+            .with_queue_depth(1)
+            .with_cache_entries(16),
+    );
+    let pong = ask(&socket, &op_request("ping"));
+    assert_eq!(status(&pong).0, "ok");
+
+    // Every request's ingress stalls 200 ms, so four clients pinging
+    // back to back overrun the one in-flight slot and one-deep queue,
+    // and most arrivals are shed. Every request must still get an
+    // answer, never an I/O error.
+    oasys_faults::set("serve.request.read", FaultSpec::Delay(200));
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let socket = socket.clone();
+            std::thread::spawn(move || {
+                (0..25)
+                    .map(|_| match request(&socket, &op_request("ping")) {
+                        Ok(response) => status(&json::parse(&response).unwrap()).0 == "busy",
+                        Err(e) => panic!("a client got {e} instead of its answer"),
+                    })
+                    .filter(|&shed| shed)
+                    .count()
+            })
+        })
+        .collect();
+    let shed: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
+    oasys_faults::remove("serve.request.read");
+    assert!(shed > 0, "the overrun server sheds arrivals");
+
+    let drain = ask(&socket, &op_request("shutdown"));
+    assert_eq!(status(&drain).0, "ok");
+    server.join().unwrap();
 }
 
 #[test]

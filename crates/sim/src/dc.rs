@@ -4,12 +4,15 @@
 //! and iterates with per-component step damping. If plain Newton from a
 //! zero start fails, it falls back to `gmin` stepping and then source
 //! stepping — the same continuation tricks production SPICE uses — so the
-//! op-amp circuits OASYS synthesizes converge reliably.
+//! op-amp circuits OASYS synthesizes converge reliably. Sweeps warm-start
+//! Newton from a neighbouring solution first and fall back to that same
+//! chain. Each solve binds its MOSFETs once and reuses one Jacobian and
+//! one set of LU buffers across every iteration.
 
-use crate::linalg::Matrix;
-use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
+use crate::linalg::{LuWorkspace, Matrix};
+use crate::mna::{bound_mosfets, mos_instances, mos_stamp, MnaIndex};
 use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
-use oasys_mos::OperatingPoint;
+use oasys_mos::{Mosfet, OperatingPoint};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
@@ -188,7 +191,22 @@ const ITOL: f64 = 1e-10;
 /// [`SolveDcError::NotConverged`]/[`SolveDcError::Singular`] if every
 /// continuation strategy fails.
 pub fn solve(circuit: &Circuit, process: &Process) -> Result<DcSolution, SolveDcError> {
-    solve_inner(circuit, process, &Deadline::none())
+    solve_inner(circuit, process, &Deadline::none(), &mut Vec::new())
+}
+
+/// [`solve`] warm-started from `x`, the MNA unknown vector of a nearby
+/// operating point of the same circuit (the previous point of a sweep).
+/// Newton runs from `x` first; only if that stage stalls does the solve
+/// fall back to the cold chain of [`solve`]. An `x` whose length is not
+/// the circuit's unknown count (e.g. empty) is no guess at all. On
+/// success `x` holds this solution's unknown vector, ready to seed the
+/// next solve; on failure it is left as it was.
+pub(crate) fn solve_warm(
+    circuit: &Circuit,
+    process: &Process,
+    x: &mut Vec<f64>,
+) -> Result<DcSolution, SolveDcError> {
+    solve_inner(circuit, process, &Deadline::none(), x)
 }
 
 /// [`solve`] with run telemetry recorded into `tel`: a `sim:dc` span plus
@@ -224,7 +242,7 @@ pub fn solve_with_deadline(
     let s = dc_syms();
     let span = tel.span_sym(s.span);
     tel.incr_sym(s.solves);
-    let result = solve_inner(circuit, process, deadline);
+    let result = solve_inner(circuit, process, deadline, &mut Vec::new());
     if tel.is_enabled() {
         match &result {
             Ok(solution) => {
@@ -246,32 +264,47 @@ fn solve_inner(
     circuit: &Circuit,
     process: &Process,
     deadline: &Deadline,
+    guess: &mut Vec<f64>,
 ) -> Result<DcSolution, SolveDcError> {
     fail_point!("sim.dc.solve", |msg: String| SolveDcError::Invalid(msg));
     circuit
         .validate()
         .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
 
+    let mut newton = Newton::new(circuit, process, deadline);
+    let (x, iterations) = converge(&mut newton, guess)?;
+    let solution = newton.package(&x, iterations);
+    *guess = x;
+    Ok(solution)
+}
+
+/// Runs the continuation strategies in order until one converges:
+/// Newton from `guess` (when it fits the circuit), then the cold chain
+/// of plain Newton from zero, `gmin` stepping and source stepping.
+fn converge(newton: &mut Newton, guess: &[f64]) -> Result<(Vec<f64>, usize), SolveDcError> {
+    let circuit = newton.circuit;
     let deadline_err = |exceeded: DeadlineExceeded| SolveDcError::DeadlineExceeded {
         circuit: circuit.title().to_owned(),
         exceeded,
     };
-    let index = MnaIndex::new(circuit);
-    let dim = index.dim();
+    let dim = newton.index.dim();
+
+    // Strategy 0: plain Newton from the caller's guess. A stall only
+    // costs the attempt; the cold chain below starts afresh.
+    if guess.len() == dim {
+        match newton.run(GMIN_FLOOR, 1.0, guess.to_vec()) {
+            Ok(converged) => return Ok(converged),
+            Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
+            Err(StageFailure::Stuck { .. }) => {}
+        }
+    }
+
     let mut best_residual = f64::INFINITY;
 
     // Strategy 1: plain Newton from zero.
     let x0 = vec![0.0; dim];
-    match newton(
-        circuit,
-        process,
-        &index,
-        GMIN_FLOOR,
-        1.0,
-        x0.clone(),
-        deadline,
-    ) {
-        Ok((x, iters)) => return Ok(package(circuit, process, &index, x, iters)),
+    match newton.run(GMIN_FLOOR, 1.0, x0.clone()) {
+        Ok(converged) => return Ok(converged),
         Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
         Err(StageFailure::Stuck { residual, .. }) => best_residual = best_residual.min(residual),
     }
@@ -282,7 +315,7 @@ fn solve_inner(
     let mut ok = true;
     let mut total_iters = 0;
     while gmin >= GMIN_FLOOR {
-        match newton(circuit, process, &index, gmin, 1.0, x.clone(), deadline) {
+        match newton.run(gmin, 1.0, x.clone()) {
             Ok((next, iters)) => {
                 x = next;
                 total_iters += iters;
@@ -300,7 +333,7 @@ fn solve_inner(
         gmin = (gmin / 100.0).max(GMIN_FLOOR);
     }
     if ok {
-        return Ok(package(circuit, process, &index, x, total_iters));
+        return Ok((x, total_iters));
     }
 
     // Strategy 3: source stepping.
@@ -309,15 +342,7 @@ fn solve_inner(
     let mut ok = true;
     for step in 1..=10 {
         let scale = f64::from(step) / 10.0;
-        match newton(
-            circuit,
-            process,
-            &index,
-            GMIN_FLOOR,
-            scale,
-            x.clone(),
-            deadline,
-        ) {
+        match newton.run(GMIN_FLOOR, scale, x.clone()) {
             Ok((next, iters)) => {
                 x = next;
                 total_iters += iters;
@@ -336,7 +361,7 @@ fn solve_inner(
         }
     }
     if ok {
-        return Ok(package(circuit, process, &index, x, total_iters));
+        return Ok((x, total_iters));
     }
 
     Err(SolveDcError::NotConverged {
@@ -353,89 +378,146 @@ enum StageFailure {
     Deadline(DeadlineExceeded),
 }
 
-/// One Newton continuation stage. Returns the solution and iteration
-/// count, or the best residual reached.
-#[allow(clippy::too_many_arguments)]
-fn newton(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    gmin: f64,
-    source_scale: f64,
-    mut x: Vec<f64>,
-    deadline: &Deadline,
-) -> Result<(Vec<f64>, usize), StageFailure> {
-    let dim = index.dim();
-    let mut jac: Matrix<f64> = Matrix::zeros(dim);
-    let mut residual = vec![0.0; dim];
-    let mut best_residual = f64::INFINITY;
+/// Everything the Newton stages of one solve share: the circuit, its
+/// MNA layout, its MOSFETs bound once (through [`crate::mismatch::bind`],
+/// so the caller's Monte-Carlo scope applies), and the Jacobian, residual
+/// and LU buffers every iteration reuses.
+struct Newton<'a> {
+    circuit: &'a Circuit,
+    index: MnaIndex,
+    devices: Vec<Mosfet>,
+    deadline: &'a Deadline,
+    jac: Matrix<f64>,
+    residual: Vec<f64>,
+    lu: LuWorkspace<f64>,
+}
 
-    for iter in 0..MAX_ITERS {
-        fail_point!("sim.dc.newton");
-        if let Err(exceeded) = deadline.check() {
-            return Err(StageFailure::Deadline(exceeded));
-        }
-        jac.clear();
-        residual.fill(0.0);
-        assemble(
+impl<'a> Newton<'a> {
+    fn new(circuit: &'a Circuit, process: &Process, deadline: &'a Deadline) -> Self {
+        let index = MnaIndex::new(circuit);
+        let dim = index.dim();
+        Self {
             circuit,
-            process,
+            devices: bound_mosfets(circuit, process).map(|(_, d)| d).collect(),
             index,
-            gmin,
-            source_scale,
-            &x,
-            &mut jac,
-            &mut residual,
-        );
-
-        let res_norm = residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
-        best_residual = best_residual.min(res_norm);
-
-        // Solve J·δ = −f.
-        let neg_f: Vec<f64> = residual.iter().map(|r| -r).collect();
-        let delta = match jac.solve(&neg_f) {
-            Ok(d) => d,
-            Err(_) => {
-                return Err(StageFailure::Stuck {
-                    residual: best_residual,
-                    singular: true,
-                })
-            }
-        };
-
-        // Damped update.
-        let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
-        let damp = if max_delta > MAX_STEP {
-            MAX_STEP / max_delta
-        } else {
-            1.0
-        };
-        for (xi, di) in x.iter_mut().zip(&delta) {
-            *xi += damp * di;
-        }
-        if !x.iter().all(|v| v.is_finite()) {
-            return Err(StageFailure::Stuck {
-                residual: best_residual,
-                singular: false,
-            });
-        }
-
-        if damp == 1.0 && max_delta < VTOL && res_norm < ITOL {
-            return Ok((x, iter + 1));
+            deadline,
+            jac: Matrix::zeros(dim),
+            residual: vec![0.0; dim],
+            lu: LuWorkspace::new(dim),
         }
     }
 
-    Err(StageFailure::Stuck {
-        residual: best_residual,
-        singular: false,
-    })
+    /// One Newton continuation stage from `x`. Returns the solution and
+    /// iteration count, or the best residual reached.
+    fn run(
+        &mut self,
+        gmin: f64,
+        source_scale: f64,
+        mut x: Vec<f64>,
+    ) -> Result<(Vec<f64>, usize), StageFailure> {
+        let mut best_residual = f64::INFINITY;
+
+        for iter in 0..MAX_ITERS {
+            fail_point!("sim.dc.newton");
+            if let Err(exceeded) = self.deadline.check() {
+                return Err(StageFailure::Deadline(exceeded));
+            }
+            self.jac.clear();
+            self.residual.fill(0.0);
+            assemble(
+                self.circuit,
+                &self.devices,
+                &self.index,
+                gmin,
+                source_scale,
+                &x,
+                &mut self.jac,
+                &mut self.residual,
+            );
+
+            let res_norm = self.residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            best_residual = best_residual.min(res_norm);
+
+            // Solve J·δ = −f, factoring the freshly assembled Jacobian
+            // in place.
+            for r in &mut self.residual {
+                *r = -*r;
+            }
+            let Ok(delta) = self.jac.solve_in_place(&self.residual, &mut self.lu) else {
+                return Err(StageFailure::Stuck {
+                    residual: best_residual,
+                    singular: true,
+                });
+            };
+
+            // Damped update.
+            let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            let damp = if max_delta > MAX_STEP {
+                MAX_STEP / max_delta
+            } else {
+                1.0
+            };
+            for (xi, di) in x.iter_mut().zip(delta) {
+                *xi += damp * di;
+            }
+            if !x.iter().all(|v| v.is_finite()) {
+                return Err(StageFailure::Stuck {
+                    residual: best_residual,
+                    singular: false,
+                });
+            }
+
+            if damp == 1.0 && max_delta < VTOL && res_norm < ITOL {
+                return Ok((x, iter + 1));
+            }
+        }
+
+        Err(StageFailure::Stuck {
+            residual: best_residual,
+            singular: false,
+        })
+    }
+
+    /// Wraps a converged unknown vector into a [`DcSolution`].
+    fn package(&self, x: &[f64], iterations: usize) -> DcSolution {
+        let circuit = self.circuit;
+        let mut node_voltages = vec![0.0; circuit.node_count()];
+        node_voltages[1..circuit.node_count()].copy_from_slice(&x[..circuit.node_count() - 1]);
+
+        let mut branch_currents = HashMap::new();
+        for k in 0..self.index.vsource_count() {
+            branch_currents.insert(
+                self.index.vsource_name(k).to_owned(),
+                x[self.index.branch_var(k)],
+            );
+        }
+
+        let volt = |node: NodeId| node_voltages[node.index()];
+        let mut device_ops = HashMap::new();
+        for (inst, device) in mos_instances(circuit).zip(&self.devices) {
+            let op = device.operating_point(
+                volt(inst.gate) - volt(inst.source),
+                volt(inst.drain) - volt(inst.source),
+                volt(inst.source) - volt(inst.bulk),
+            );
+            device_ops.insert(inst.name.clone(), op);
+        }
+
+        DcSolution {
+            node_voltages,
+            branch_currents,
+            device_ops,
+            iterations,
+        }
+    }
 }
 
-/// Assembles the Jacobian and residual at the point `x`.
+/// Assembles the Jacobian and residual at the point `x`; `devices` are
+/// the circuit's MOSFETs bound in element order.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     circuit: &Circuit,
-    process: &Process,
+    devices: &[Mosfet],
     index: &MnaIndex,
     gmin: f64,
     source_scale: f64,
@@ -452,6 +534,7 @@ fn assemble(
     }
 
     let mut vsrc_k = 0usize;
+    let mut mos_k = 0usize;
     for element in circuit.elements() {
         match element {
             Element::Resistor(r) => {
@@ -509,9 +592,10 @@ fn assemble(
                 }
             }
             Element::Mos(m) => {
-                let device = crate::mismatch::bind(m, process);
+                let device = &devices[mos_k];
+                mos_k += 1;
                 let stamp = mos_stamp(
-                    &device,
+                    device,
                     volt(m.drain),
                     volt(m.gate),
                     volt(m.source),
@@ -541,41 +625,6 @@ fn assemble(
                 }
             }
         }
-    }
-}
-
-/// Wraps a converged unknown vector into a [`DcSolution`].
-fn package(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    x: Vec<f64>,
-    iterations: usize,
-) -> DcSolution {
-    let mut node_voltages = vec![0.0; circuit.node_count()];
-    node_voltages[1..circuit.node_count()].copy_from_slice(&x[..circuit.node_count() - 1]);
-
-    let mut branch_currents = HashMap::new();
-    for k in 0..index.vsource_count() {
-        branch_currents.insert(index.vsource_name(k).to_owned(), x[index.branch_var(k)]);
-    }
-
-    let volt = |node: NodeId| node_voltages[node.index()];
-    let mut device_ops = HashMap::new();
-    for (inst, device) in bound_mosfets(circuit, process) {
-        let op = device.operating_point(
-            volt(inst.gate) - volt(inst.source),
-            volt(inst.drain) - volt(inst.source),
-            volt(inst.source) - volt(inst.bulk),
-        );
-        device_ops.insert(inst.name.clone(), op);
-    }
-
-    DcSolution {
-        node_voltages,
-        branch_currents,
-        device_ops,
-        iterations,
     }
 }
 
@@ -680,10 +729,8 @@ mod tests {
         assert!(op.region().is_saturation());
     }
 
-    #[test]
-    fn cmos_inverter_midpoint() {
-        // Both gates at mid-supply with matched strengths: output settles
-        // between the rails.
+    /// A CMOS inverter with both gates at mid-supply; node 2 is `out`.
+    fn inverter() -> Circuit {
         let mut c = Circuit::new("inv");
         let vdd = c.node("vdd");
         let out = c.node("out");
@@ -712,9 +759,34 @@ mod tests {
             vdd,
         )
         .unwrap();
+        c
+    }
+
+    #[test]
+    fn cmos_inverter_midpoint() {
+        // Both gates at mid-supply with matched strengths: output settles
+        // between the rails.
+        let c = inverter();
         let sol = solve(&c, &process()).unwrap();
-        let vout = sol.voltage(out);
+        let vout = sol.voltage(c.find_node("out").unwrap());
         assert!(vout > 0.5 && vout < 4.5, "vout = {vout}");
+    }
+
+    #[test]
+    fn warm_start_from_a_stalling_guess_returns_the_cold_answer() {
+        let c = inverter();
+        let cold = solve(&c, &process()).unwrap();
+        // 1 kV on every unknown: the 0.5 V step clamp cannot walk back
+        // inside the iteration cap, so Newton from the guess stalls and
+        // the cold chain answers.
+        let mut x = vec![1e3; MnaIndex::new(&c).dim()];
+        let warm = solve_warm(&c, &process(), &mut x).unwrap();
+        assert_eq!(warm.node_voltages(), cold.node_voltages());
+        assert_eq!(warm.iterations(), cold.iterations());
+        // `x` now holds the solution: re-solving from it is one step.
+        let again = solve_warm(&c, &process(), &mut x).unwrap();
+        assert_eq!(again.iterations(), 1);
+        assert!((again.node_voltages()[2] - cold.node_voltages()[2]).abs() < 1e-9);
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //!
 //! * [`complex`] — complex arithmetic (no external dependency),
 //! * [`linalg`] — dense LU factorization with partial pivoting, generic
-//!   over real and complex scalars,
+//!   over real and complex scalars (the Newton loops factor in place
+//!   into buffers reused across iterations),
 //! * [`mna`] — modified nodal analysis stamps,
 //! * [`dc`] — Newton–Raphson DC operating point with damping, `gmin`
 //!   stepping and source stepping fallbacks,
 //! * [`ac`] — small-signal frequency sweeps linearized at the DC point
 //!   (the module also exposes the reusable [`ac::AcSystem`]),
-//! * [`sweep`] — DC transfer sweeps with solution continuation,
+//! * [`sweep`] — DC transfer sweeps and bias bisection, each point
+//!   warm-started from the previous point's solution with a fallback to
+//!   the cold [`dc`] strategies,
 //! * [`tran`] — fixed-step backward-Euler transient analysis (slew-rate
 //!   measurements),
 //! * [`metrics`] — datasheet-style measurements: DC gain, unity-gain

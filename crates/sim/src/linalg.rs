@@ -119,8 +119,9 @@ impl<T: Scalar> Matrix<T> {
         self.data.fill(T::ZERO);
     }
 
-    /// Solves `A·x = b` by LU with partial pivoting, consuming a copy of
-    /// the matrix (the receiver is untouched).
+    /// Solves `A·x = b` by LU with partial pivoting on a copy of the
+    /// matrix (the receiver is untouched). A thin wrapper over the
+    /// in-place factorization the Newton loops use.
     ///
     /// # Errors
     ///
@@ -131,17 +132,43 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
-        assert_eq!(b.len(), self.n, "rhs length must match matrix dimension");
         let mut lu = self.clone();
-        let perm = lu.factorize_in_place()?;
-        Ok(lu.solve_factored(&perm, b))
+        let mut workspace = LuWorkspace::new(self.n);
+        lu.solve_in_place(b, &mut workspace)?;
+        Ok(workspace.x)
     }
 
-    /// In-place LU factorization with partial pivoting. Returns the row
-    /// permutation.
-    fn factorize_in_place(&mut self) -> Result<Vec<usize>, SingularMatrixError> {
+    /// Factors the matrix in place (overwriting it with its LU factors)
+    /// and solves `A·x = b` into `workspace`, allocating nothing. Returns
+    /// the solution, which lives in the workspace until its next use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or the workspace does not match the matrix
+    /// dimension.
+    pub(crate) fn solve_in_place<'w>(
+        &mut self,
+        b: &[T],
+        workspace: &'w mut LuWorkspace<T>,
+    ) -> Result<&'w [T], SingularMatrixError> {
+        assert_eq!(b.len(), self.n, "rhs length must match matrix dimension");
+        assert_eq!(
+            workspace.x.len(),
+            self.n,
+            "workspace must match matrix dimension"
+        );
+        self.factorize_in_place(&mut workspace.perm)?;
+        self.solve_factored(workspace, b);
+        Ok(&workspace.x)
+    }
+
+    /// In-place LU factorization with partial pivoting, recording the
+    /// row permutation in `perm`.
+    fn factorize_in_place(&mut self, perm: &mut [usize]) -> Result<(), SingularMatrixError> {
         let n = self.n;
-        let mut perm: Vec<usize> = (0..n).collect();
+        for (k, p) in perm.iter_mut().enumerate() {
+            *p = k;
+        }
         for k in 0..n {
             // Find the pivot row.
             let mut best = k;
@@ -168,16 +195,17 @@ impl<T: Scalar> Matrix<T> {
                 }
             }
         }
-        Ok(perm)
+        Ok(())
     }
 
-    /// Forward/back substitution against a previously factorized matrix.
+    /// Forward/back substitution against the factors and permutation in
+    /// `workspace`, writing the solution to `workspace.x`.
     // The permuted row indexing makes iterator rewrites less readable.
     #[allow(clippy::needless_range_loop)]
-    fn solve_factored(&self, perm: &[usize], b: &[T]) -> Vec<T> {
+    fn solve_factored(&self, workspace: &mut LuWorkspace<T>, b: &[T]) {
         let n = self.n;
+        let LuWorkspace { perm, y, x } = workspace;
         // Forward: L·y = P·b (unit diagonal L).
-        let mut y = vec![T::ZERO; n];
         for k in 0..n {
             let mut acc = b[perm[k]];
             for j in 0..k {
@@ -186,7 +214,6 @@ impl<T: Scalar> Matrix<T> {
             y[k] = acc;
         }
         // Back: U·x = y.
-        let mut x = vec![T::ZERO; n];
         for k in (0..n).rev() {
             let mut acc = y[k];
             for j in k + 1..n {
@@ -194,7 +221,6 @@ impl<T: Scalar> Matrix<T> {
             }
             x[k] = acc / self.data[perm[k] * n + k];
         }
-        x
     }
 
     /// Computes `A·x` (for residual checks and tests).
@@ -214,6 +240,27 @@ impl<T: Scalar> Matrix<T> {
                     .fold(T::ZERO, |acc, (&a, &xj)| acc + a * xj)
             })
             .collect()
+    }
+}
+
+/// The permutation and substitution buffers of one LU solve, kept
+/// between solves of the same dimension so a Newton loop allocates
+/// them once.
+#[derive(Debug)]
+pub(crate) struct LuWorkspace<T: Scalar> {
+    perm: Vec<usize>,
+    y: Vec<T>,
+    x: Vec<T>,
+}
+
+impl<T: Scalar> LuWorkspace<T> {
+    /// Buffers for `n×n` solves.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            perm: vec![0; n],
+            y: vec![T::ZERO; n],
+            x: vec![T::ZERO; n],
+        }
     }
 }
 

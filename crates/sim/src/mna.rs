@@ -146,16 +146,23 @@ pub fn mos_stamp(mosfet: &Mosfet, vd: f64, vg: f64, vs: f64, vb: f64) -> MosStam
     }
 }
 
+/// The MOSFET instances of a circuit, in element order.
+pub(crate) fn mos_instances(
+    circuit: &Circuit,
+) -> impl Iterator<Item = &oasys_netlist::MosInstance> + '_ {
+    circuit.elements().iter().filter_map(|e| match e {
+        Element::Mos(m) => Some(m),
+        _ => None,
+    })
+}
+
 /// Convenience: iterate MOSFET instances of a circuit paired with their
 /// bound device models.
 pub fn bound_mosfets<'c>(
     circuit: &'c Circuit,
     process: &'c oasys_process::Process,
 ) -> impl Iterator<Item = (&'c oasys_netlist::MosInstance, Mosfet)> + 'c {
-    circuit.elements().iter().filter_map(move |e| match e {
-        Element::Mos(m) => Some((m, crate::mismatch::bind(m, process))),
-        _ => None,
-    })
+    mos_instances(circuit).map(move |m| (m, crate::mismatch::bind(m, process)))
 }
 
 #[cfg(test)]

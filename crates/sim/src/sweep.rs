@@ -19,9 +19,13 @@ pub struct SweepPoint {
 }
 
 /// Sweeps the DC value of source `source_name` over `values` and solves at
-/// each point. Points that fail to converge are skipped (deep saturation
-/// corners occasionally defeat continuation; the swing extraction only
-/// needs the converged shape).
+/// each point. Each point's Newton iteration starts from the previous
+/// converged point's solution (the continuation warm start SPICE uses
+/// for DC transfer curves); a point where that stalls falls back to the
+/// cold chain of [`dc::solve`] (Newton from zero, `gmin` stepping,
+/// source stepping). Points that still fail to converge are skipped
+/// (deep saturation corners occasionally defeat every strategy; the
+/// swing extraction only needs the converged shape).
 ///
 /// # Errors
 ///
@@ -66,10 +70,11 @@ pub fn dc_transfer(
 
     let mut points = Vec::with_capacity(values.len());
     let mut last_err = None;
+    let mut guess = Vec::new();
     for &value in values {
         work.set_source_dc(source_name, value)
             .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
-        match dc::solve(&work, process) {
+        match dc::solve_warm(&work, process, &mut guess) {
             Ok(solution) => points.push(SweepPoint {
                 input: value,
                 solution,
@@ -106,7 +111,9 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// input voltage required to center the output.
 ///
 /// Assumes the transfer function is monotone over the bracket (true for
-/// an op amp's input stage around its operating region).
+/// an op amp's input stage around its operating region). Each evaluation
+/// is warm-started from the previous one's solution, falling back to
+/// the cold chain of [`dc::solve`] where that stalls.
 ///
 /// # Errors
 ///
@@ -122,10 +129,11 @@ pub fn bisect_input(
     hi: f64,
 ) -> Result<f64, SolveDcError> {
     let mut work = circuit.clone();
+    let mut guess = Vec::new();
     let mut eval = |vin: f64| -> Result<f64, SolveDcError> {
         work.set_source_dc(source_name, vin)
             .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
-        Ok(dc::solve(&work, process)?.voltage(target_node) - target_voltage)
+        Ok(dc::solve_warm(&work, process, &mut guess)?.voltage(target_node) - target_voltage)
     };
 
     let mut f_lo = eval(lo)?;

@@ -12,8 +12,9 @@
 //! sources without an override hold their DC value.
 
 use crate::dc::{self, DcSolution, SolveDcError};
-use crate::linalg::Matrix;
-use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
+use crate::linalg::{LuWorkspace, Matrix};
+use crate::mna::{bound_mosfets, mos_instances, mos_stamp, MnaIndex};
+use oasys_mos::Mosfet;
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
@@ -348,21 +349,19 @@ fn solve_inner(
                 .map_err(|e| SolveTranError::BadSpec(e.to_string()))?;
         }
     }
-    let dc0 = dc::solve(&init, process)?;
+    // The initial point's unknown vector seeds the first step.
+    let mut x = Vec::new();
+    let dc0 = dc::solve_warm(&init, process, &mut x)?;
+
+    // Bind every MOSFET once for the whole run.
+    let devices: Vec<Mosfet> = bound_mosfets(circuit, process).map(|(_, d)| d).collect();
 
     // Collect all capacitances as (node_a, node_b, farads): explicit
     // capacitors plus frozen device capacitances.
-    let caps = collect_capacitances(circuit, process, &dc0);
+    let caps = collect_capacitances(circuit, &devices, &dc0);
 
     let index = MnaIndex::new(circuit);
     let dim = index.dim();
-
-    // Unknown vector from the DC solution.
-    let mut x = vec![0.0; dim];
-    x[..circuit.node_count() - 1].copy_from_slice(&dc0.node_voltages()[1..]);
-    for k in 0..index.vsource_count() {
-        x[index.branch_var(k)] = dc0.source_current(index.vsource_name(k)).unwrap_or(0.0);
-    }
 
     let steps = (spec.t_stop / spec.dt).ceil() as usize;
     let mut times = Vec::with_capacity(steps + 1);
@@ -377,6 +376,7 @@ fn solve_inner(
 
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
     let mut residual = vec![0.0; dim];
+    let mut lu = LuWorkspace::new(dim);
     let mut x_prev = x.clone();
 
     for step in 1..=steps {
@@ -388,7 +388,7 @@ fn solve_inner(
             residual.fill(0.0);
             assemble_tran(
                 circuit,
-                process,
+                &devices,
                 &index,
                 stimuli,
                 t,
@@ -399,8 +399,10 @@ fn solve_inner(
                 &mut jac,
                 &mut residual,
             );
-            let neg_f: Vec<f64> = residual.iter().map(|r| -r).collect();
-            let Ok(delta) = jac.solve(&neg_f) else {
+            for r in &mut residual {
+                *r = -*r;
+            }
+            let Ok(delta) = jac.solve_in_place(&residual, &mut lu) else {
                 return Err(SolveTranError::StepNotConverged { time: t });
             };
             let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
@@ -409,7 +411,7 @@ fn solve_inner(
             } else {
                 1.0
             };
-            for (xi, di) in x.iter_mut().zip(&delta) {
+            for (xi, di) in x.iter_mut().zip(delta) {
                 *xi += damp * di;
             }
             if damp == 1.0 && max_delta < VTOL {
@@ -427,10 +429,11 @@ fn solve_inner(
     Ok(TranSolution { times, voltages })
 }
 
-/// Gathers explicit and (frozen) device capacitances.
+/// Gathers explicit and (frozen) device capacitances; `devices` are the
+/// circuit's MOSFETs bound in element order.
 fn collect_capacitances(
     circuit: &Circuit,
-    process: &Process,
+    devices: &[Mosfet],
     dc0: &DcSolution,
 ) -> Vec<(NodeId, NodeId, f64)> {
     let mut caps = Vec::new();
@@ -440,7 +443,7 @@ fn collect_capacitances(
         }
     }
     let volt = |n: NodeId| dc0.voltage(n);
-    for (inst, device) in bound_mosfets(circuit, process) {
+    for (inst, device) in mos_instances(circuit).zip(devices) {
         let op = device.operating_point(
             volt(inst.gate) - volt(inst.source),
             volt(inst.drain) - volt(inst.source),
@@ -462,11 +465,12 @@ fn collect_capacitances(
     caps
 }
 
-/// Assembles the backward-Euler system at time `t`.
+/// Assembles the backward-Euler system at time `t`; `devices` are the
+/// circuit's MOSFETs bound in element order.
 #[allow(clippy::too_many_arguments)]
 fn assemble_tran(
     circuit: &Circuit,
-    process: &Process,
+    devices: &[Mosfet],
     index: &MnaIndex,
     stimuli: &Stimuli,
     t: f64,
@@ -507,6 +511,7 @@ fn assemble_tran(
     }
 
     let mut vsrc_k = 0usize;
+    let mut mos_k = 0usize;
     for element in circuit.elements() {
         match element {
             Element::Resistor(r) => {
@@ -563,9 +568,10 @@ fn assemble_tran(
                 }
             }
             Element::Mos(m) => {
-                let device = crate::mismatch::bind(m, process);
+                let device = &devices[mos_k];
+                mos_k += 1;
                 let stamp = mos_stamp(
-                    &device,
+                    device,
                     volt(x, m.drain),
                     volt(x, m.gate),
                     volt(x, m.source),

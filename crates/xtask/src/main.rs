@@ -1047,8 +1047,9 @@ fn docs() -> ExitCode {
 }
 
 /// The committed benchmark report must keep satisfying the
-/// `oasys-bench` schema (v6) — including the one-worker vs. full-width
-/// verified batch-sweep rows behind `pool_speedup_ratio` and the engine
+/// `oasys-bench` schema (v7) — including the one-worker vs. full-width
+/// verified batch-sweep rows behind `pool_speedup_ratio`, the case-A
+/// verification row, and the engine
 /// cache-hit counter — so regenerating it with a drifted bench binary
 /// fails the gauntlet.
 fn bench_schema() -> ExitCode {

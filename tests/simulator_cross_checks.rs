@@ -1,14 +1,18 @@
 //! Cross-crate checks of the simulator against hand-calculable circuits
 //! built from the block designers — the "does sizing meet simulation"
-//! property the paper validates with SPICE.
+//! property the paper validates with SPICE — and differential checks of
+//! the warm-started sweeps against cold, solve-every-point-from-zero
+//! references on synthesized op amps.
 
 use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
+use oasys_netlist::NodeId;
 use oasys_netlist::{Circuit, SourceValue};
 use oasys_process::{builtin, Polarity};
 use oasys_sim::ac::AcSweepSpec;
 use oasys_sim::metrics::{AcMetrics, Bode};
-use oasys_sim::{ac, dc};
+use oasys_sim::mismatch::{self, Mismatch};
+use oasys_sim::{ac, dc, sweep};
 
 /// A designed diff pair with ideal tail and resistor loads measures the
 /// transconductance it was designed for.
@@ -191,4 +195,329 @@ fn hand_built_ota_gain_matches_hand_analysis() {
         (fu / fu_expected - 1.0).abs() < 0.3,
         "fu {fu:.3e} vs gm/2πC {fu_expected:.3e}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Warm-started sweeps vs. the cold reference path
+// ---------------------------------------------------------------------------
+
+/// One synthesized op amp to verify: a Table-1 pair or a Monte-Carlo
+/// point of the bundled dataset manifest (with its mismatch draw).
+struct Case {
+    label: String,
+    design: oasys::OpAmpDesign,
+    process: oasys_process::Process,
+    load_f: f64,
+    mismatch: Mismatch,
+}
+
+impl Case {
+    /// Runs `f` under this case's Monte-Carlo draw.
+    fn scoped<T>(&self, f: impl FnOnce() -> T) -> T {
+        mismatch::scoped(self.mismatch, f)
+    }
+}
+
+fn data_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("data")
+        .join(name)
+}
+
+/// The Table-1 pairs (`data/spec-{a,b,c}.txt` × `data/generic-*.tech`)
+/// that synthesize: seven of the nine (b and c are infeasible on 1.2 µm).
+fn table1_cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for spec_name in ["spec-a", "spec-b", "spec-c"] {
+        let spec_text = std::fs::read_to_string(data_path(&format!("{spec_name}.txt"))).unwrap();
+        let spec = oasys::specfile::parse(&spec_text).unwrap();
+        for tech_name in ["generic-5um", "generic-3um", "generic-1.2um"] {
+            let tech_text =
+                std::fs::read_to_string(data_path(&format!("{tech_name}.tech"))).unwrap();
+            let process = oasys_process::techfile::parse(&tech_text).unwrap();
+            if let Ok(synthesis) = oasys::synthesize(&spec, &process) {
+                cases.push(Case {
+                    label: format!("{spec_name} x {tech_name}"),
+                    design: synthesis.selected().clone(),
+                    process,
+                    load_f: spec.load().farads(),
+                    mismatch: Mismatch::disabled(),
+                });
+            }
+        }
+    }
+    assert_eq!(cases.len(), 7, "seven feasible Table-1 pairs");
+    cases
+}
+
+/// Three Monte-Carlo points of `data/dataset.manifest` (sampled specs
+/// around case A at derived corners), spread across the plan.
+fn dataset_cases() -> Vec<Case> {
+    let manifest = oasys::batch::Manifest::load(data_path("dataset.manifest")).unwrap();
+    let plan = oasys::dataset::DatasetPlan::expand(&manifest).unwrap();
+    let cases: Vec<Case> = plan
+        .points
+        .iter()
+        .filter(|point| point.mc_index == 1)
+        .step_by(97)
+        .filter_map(|point| {
+            let spec = oasys::specfile::parse(&point.spec_text).unwrap();
+            let process = oasys_process::techfile::parse(&point.tech_text).unwrap();
+            let synthesis = oasys::synthesize(&spec, &process).ok()?;
+            Some(Case {
+                label: format!("dataset point {}", point.id),
+                design: synthesis.selected().clone(),
+                process,
+                load_f: spec.load().farads(),
+                mismatch: plan.mismatch_for(point)?,
+            })
+        })
+        .take(3)
+        .collect();
+    assert_eq!(cases.len(), 3, "three sampled dataset designs");
+    cases
+}
+
+/// Adds the ±supplies to a design's circuit.
+fn with_supplies(case: &Case) -> Circuit {
+    let mut bench = case.design.circuit().clone();
+    let (vdd, vss, gnd) = (
+        bench.port("vdd").unwrap(),
+        bench.port("vss").unwrap(),
+        bench.ground(),
+    );
+    let (v_hi, v_lo) = (case.process.vdd().volts(), case.process.vss().volts());
+    bench
+        .add_vsource("VDD", vdd, gnd, SourceValue::dc(v_hi))
+        .unwrap();
+    bench
+        .add_vsource("VSS", vss, gnd, SourceValue::dc(v_lo))
+        .unwrap();
+    bench
+}
+
+/// The swing bench of `verify`: an inverting gain-of-10 stage driven
+/// by `VSW`, with the 241 sweep values across ±1.2 × half the supply
+/// span referred to the input.
+fn swing_bench(case: &Case) -> (Circuit, NodeId, Vec<f64>) {
+    let mut bench = with_supplies(case);
+    let (inp, inn, out, gnd) = (
+        bench.port("inp").unwrap(),
+        bench.port("inn").unwrap(),
+        bench.port("out").unwrap(),
+        bench.ground(),
+    );
+    let vin = bench.node("swing_vin");
+    bench
+        .add_vsource("VINP", inp, gnd, SourceValue::dc(0.0))
+        .unwrap();
+    bench
+        .add_vsource("VSW", vin, gnd, SourceValue::dc(0.0))
+        .unwrap();
+    bench.add_resistor("R1", vin, inn, 1e6).unwrap();
+    bench.add_resistor("R2", inn, out, 1e7).unwrap();
+    let delta = 1.2 * case.process.supply_span().volts() / 20.0;
+    (bench, out, sweep::linspace(-delta, delta, 241))
+}
+
+/// The open-loop bench of `verify`'s offset null.
+fn open_loop_bench(case: &Case) -> (Circuit, NodeId) {
+    let mut bench = with_supplies(case);
+    let (inp, inn, out, gnd) = (
+        bench.port("inp").unwrap(),
+        bench.port("inn").unwrap(),
+        bench.port("out").unwrap(),
+        bench.ground(),
+    );
+    bench
+        .add_vsource("VIP", inp, gnd, SourceValue::new(0.0, 1.0))
+        .unwrap();
+    bench
+        .add_vsource("VIN", inn, gnd, SourceValue::dc(0.0))
+        .unwrap();
+    bench.add_capacitor("CLOAD", out, gnd, case.load_f).unwrap();
+    (bench, out)
+}
+
+/// The cold reference of `sweep::bisect_input`: the same bisection with
+/// every evaluation solved from zero by `dc::solve`.
+fn cold_bisect(case: &Case, bench: &Circuit, out: NodeId) -> f64 {
+    let mut work = bench.clone();
+    let mut eval = |vin: f64| {
+        work.set_source_dc("VIP", vin).unwrap();
+        dc::solve(&work, &case.process).unwrap().voltage(out)
+    };
+    let (mut a, mut b) = (-0.5, 0.5);
+    let mut f_lo = eval(a);
+    let f_hi = eval(b);
+    assert!(f_lo.signum() != f_hi.signum(), "{}: bracket", case.label);
+    for _ in 0..80 {
+        let mid = 0.5 * (a + b);
+        let f_mid = eval(mid);
+        if f_mid == 0.0 || (b - a).abs() < 1e-12 {
+            return mid;
+        }
+        if f_mid.signum() == f_lo.signum() {
+            a = mid;
+            f_lo = f_mid;
+        } else {
+            b = mid;
+        }
+    }
+    0.5 * (a + b)
+}
+
+/// Runs the warm swing sweep and its cold per-point reference, asserts
+/// every node voltage agrees within 1 µV, and returns the summed Newton
+/// iterations of (warm, cold).
+fn compare_swing_sweep(case: &Case) -> (usize, usize) {
+    let (bench, _, values) = swing_bench(case);
+    let warm = sweep::dc_transfer(&bench, &case.process, "VSW", &values).unwrap();
+    assert_eq!(
+        warm.len(),
+        values.len(),
+        "{}: every point converges",
+        case.label
+    );
+    let mut work = bench.clone();
+    let mut cold_iterations = 0;
+    for point in &warm {
+        work.set_source_dc("VSW", point.input).unwrap();
+        let cold = dc::solve(&work, &case.process).unwrap();
+        cold_iterations += cold.iterations();
+        for (k, (w, c)) in point
+            .solution
+            .node_voltages()
+            .iter()
+            .zip(cold.node_voltages())
+            .enumerate()
+        {
+            assert!(
+                (w - c).abs() <= 1e-6,
+                "{} at VSW = {}: node {k} warm {w} vs cold {c}",
+                case.label,
+                point.input
+            );
+        }
+    }
+    let warm_iterations = warm.iter().map(|p| p.solution.iterations()).sum();
+    (warm_iterations, cold_iterations)
+}
+
+/// The warm-started swing sweep lands on the cold operating point at
+/// every one of its 241 points, and the warm-started offset bisection on
+/// the cold bisection's answer — on the Table-1 designs and on sampled
+/// dataset designs under their Monte-Carlo draw.
+#[test]
+fn warm_sweeps_and_bisection_match_cold_solves() {
+    for case in table1_cases().iter().chain(&dataset_cases()) {
+        case.scoped(|| {
+            compare_swing_sweep(case);
+            let (bench, out) = open_loop_bench(case);
+            let warm =
+                sweep::bisect_input(&bench, &case.process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+            let cold = cold_bisect(case, &bench, out);
+            assert!(
+                (warm - cold).abs() <= 1e-9,
+                "{}: warm offset {warm} vs cold {cold}",
+                case.label
+            );
+        });
+    }
+}
+
+/// Work-count guard (deterministic, no timing): over the seven Table-1
+/// designs the warm-started 241-point swing sweeps take at most a
+/// quarter of the Newton iterations that solving every point from zero
+/// takes.
+#[test]
+fn warm_swing_sweep_takes_a_quarter_of_the_cold_newton_work() {
+    let (mut warm, mut cold) = (0, 0);
+    for case in &table1_cases() {
+        let (w, c) = compare_swing_sweep(case);
+        warm += w;
+        cold += c;
+    }
+    assert!(
+        4 * warm <= cold,
+        "warm sweeps took {warm} Newton iterations, cold {cold}"
+    );
+}
+
+/// The `Measured` fields in declaration order, each rendered with `{:?}`
+/// (shortest round-trip, so string equality is bit equality).
+fn measured_fields(m: &oasys::Measured) -> [(&'static str, String); 10] {
+    [
+        ("dc_gain_db", format!("{:?}", m.dc_gain_db)),
+        ("unity_gain_hz", format!("{:?}", m.unity_gain_hz)),
+        ("phase_margin_deg", format!("{:?}", m.phase_margin_deg)),
+        ("slew_v_per_s", format!("{:?}", m.slew_v_per_s)),
+        ("swing_symmetric_v", format!("{:?}", m.swing_symmetric_v)),
+        ("offset_v", format!("{:?}", m.offset_v)),
+        ("power_w", format!("{:?}", m.power_w)),
+        ("cmrr_db", format!("{:?}", m.cmrr_db)),
+        ("noise_v_rthz", format!("{:?}", m.noise_v_rthz)),
+        ("psrr_db", format!("{:?}", m.psrr_db)),
+    ]
+}
+
+/// Fields the warm starts may move, with their absolute tolerance:
+/// swing comes from the warm DC sweep (1 µV per point), the offset from
+/// the warm bisection (1 nV).
+const WARM_TOLERANCES: [(&str, f64); 2] = [("swing_symmetric_v", 1e-6), ("offset_v", 1e-9)];
+
+fn parse_some(text: &str) -> f64 {
+    text.strip_prefix("Some(")
+        .and_then(|t| t.strip_suffix(')'))
+        .unwrap_or(text)
+        .parse()
+        .unwrap_or_else(|e| panic!("{text:?}: {e}"))
+}
+
+/// Every verified figure of the Table-1 designs and sampled dataset
+/// designs matches `tests/golden/measured_cold.txt`, the figures the
+/// cold path (every DC solve from zero, devices rebound per Newton
+/// iteration, a cloned Jacobian factored per iteration) measured on the
+/// same designs: bit for bit, except the two warm-started figures,
+/// which agree within [`WARM_TOLERANCES`].
+///
+/// Regenerate with `OASYS_BLESS=1 cargo test -p oasys-suite --test
+/// simulator_cross_checks` only for an intentional change of what the
+/// simulator computes.
+#[test]
+fn verified_figures_match_the_cold_reference() {
+    let mut rendered = String::new();
+    for case in table1_cases().iter().chain(&dataset_cases()) {
+        let verification = case
+            .scoped(|| oasys::verify(&case.design, &case.process, case.load_f))
+            .unwrap();
+        for (field, value) in measured_fields(&verification.measured) {
+            rendered.push_str(&format!("{}\t{field}\t{value}\n", case.label));
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/measured_cold.txt");
+    if std::env::var_os("OASYS_BLESS").is_some() {
+        std::fs::write(&path, &rendered).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(rendered.lines().count(), golden.lines().count());
+    for (now, cold) in rendered.lines().zip(golden.lines()) {
+        let now: Vec<&str> = now.split('\t').collect();
+        let cold: Vec<&str> = cold.split('\t').collect();
+        assert_eq!(now[..2], cold[..2]);
+        match WARM_TOLERANCES.iter().find(|(field, _)| *field == now[1]) {
+            Some(&(_, tolerance)) if now[2] != cold[2] => {
+                let (a, b) = (parse_some(now[2]), parse_some(cold[2]));
+                assert!(
+                    (a - b).abs() <= tolerance,
+                    "{} {}: {a} vs cold {b}",
+                    now[0],
+                    now[1]
+                );
+            }
+            _ => assert_eq!(now[2], cold[2], "{} {}", now[0], now[1]),
+        }
+    }
 }
