@@ -75,7 +75,39 @@ use oasys::{
 use oasys_netlist::{lint, report, spice};
 use oasys_process::techfile;
 use oasys_telemetry::Telemetry;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// `print!` that treats a closed standard output as a quiet exit (see
+/// [`write_stdout`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` that treats a closed standard output as a quiet exit (see
+/// [`write_stdout`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to standard output. When the reader has gone away
+/// (`oasys … | head -1`), the write fails with `BrokenPipe` — SIGPIPE
+/// stays ignored, as Rust sets it, so that `serve` survives vanished
+/// clients — and the process exits quietly with status 0 instead of
+/// panicking. Any other write error panics, as `println!` does.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 const SYNTH_USAGE: &str = "usage: oasys <spec-file> <tech-file> [--out <deck.sp>] [--no-verify] [--styles <list>] [--explain] [--trace-out <file.json>] [--trace-format json|chrome] [--metrics-out <file.json>] [--faults <list>]\n       oasys lint [<spec-file> <tech-file>] [--deny-warnings] [--format human|json|sarif]";
 const LINT_USAGE: &str =
@@ -318,8 +350,8 @@ fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
     apply_faults(opts.faults.as_deref())?;
     let (spec, process) = load_inputs(&opts.spec_path, &opts.tech_path)?;
 
-    println!("specification: {spec}");
-    println!("process:       {process}\n");
+    outln!("specification: {spec}");
+    outln!("process:       {process}\n");
 
     let tel = if opts.telemetry_requested() {
         Telemetry::new()
@@ -336,19 +368,19 @@ fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
             return Err(e.to_string());
         }
     };
-    println!("{result}");
+    outln!("{result}");
     let design = result.selected();
     if !design.notes().is_empty() {
-        println!("design decisions: {}\n", design.notes().join("; "));
+        outln!("design decisions: {}\n", design.notes().join("; "));
     }
-    println!("{}", report::device_table(design.circuit()));
+    outln!("{}", report::device_table(design.circuit()));
 
     let measured = if opts.run_verify {
         let verification =
             verify_with(design, &process, spec.load().farads(), &tel).map_err(|e| e.to_string())?;
         if !verification.erc.is_empty() {
-            println!("electrical-rule findings:");
-            print!("{}", verification.erc.render_human());
+            outln!("electrical-rule findings:");
+            out!("{}", verification.erc.render_human());
         }
         Some(verification.measured)
     } else {
@@ -360,15 +392,15 @@ fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
         design.predicted(),
         measured.as_ref(),
     );
-    println!("{sheet}");
+    outln!("{sheet}");
     if measured.is_some() && !sheet.all_measured_pass() {
-        println!("!! measured shortfalls: {:?}", sheet.failures());
+        outln!("!! measured shortfalls: {:?}", sheet.failures());
     }
 
     if let Some(path) = &opts.out_path {
         let deck = spice::to_spice(design.circuit(), &process);
         std::fs::write(path, deck).map_err(|e| format!("{path}: {e}"))?;
-        println!("SPICE deck written to {path}");
+        outln!("SPICE deck written to {path}");
     }
 
     emit_telemetry(&opts, &tel, Some(&result))
@@ -390,18 +422,18 @@ fn emit_telemetry(
     }
     let run_report = tel.report();
     if opts.explain {
-        println!("run trace:");
-        print!("{}", run_report.render_explain());
+        outln!("run trace:");
+        out!("{}", run_report.render_explain());
         let histograms = run_report.render_histograms();
         if !histograms.is_empty() {
-            println!("latency histograms (log2 ns buckets):");
-            print!("{histograms}");
+            outln!("latency histograms (log2 ns buckets):");
+            out!("{histograms}");
         }
         let restarts = synthesis.map_or_else(
             || usize::try_from(tel.counter("plan.restarts")).unwrap_or(usize::MAX),
             Synthesis::restarts,
         );
-        println!(
+        outln!(
             "summary: {} styles attempted, {} feasible, {} statically pruned, \
              {} plan restarts, {} step executions",
             tel.counter("synth.styles_attempted"),
@@ -417,12 +449,12 @@ fn emit_telemetry(
             TraceFormat::Chrome => run_report.render_chrome(),
         };
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-        println!("run trace written to {path}");
+        outln!("run trace written to {path}");
     }
     if let Some(path) = &opts.metrics_out {
         std::fs::write(path, run_report.render_metrics_json())
             .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics written to {path}");
+        outln!("metrics written to {path}");
     }
     Ok(())
 }
@@ -459,9 +491,9 @@ fn run_lint(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     // combined report keeps the stable (code, site) order and no dupes.
     merged.normalize();
     match opts.format {
-        LintFormat::Human => print!("{}", merged.render_human()),
-        LintFormat::Json => print!("{}", merged.render_json()),
-        LintFormat::Sarif => print!("{}", merged.render_sarif()),
+        LintFormat::Human => out!("{}", merged.render_human()),
+        LintFormat::Json => out!("{}", merged.render_json()),
+        LintFormat::Sarif => out!("{}", merged.render_sarif()),
     }
     Ok(if merged.passes(opts.deny_warnings) {
         ExitCode::SUCCESS
@@ -653,7 +685,7 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
                     let _ = writeln!(file, "{line}");
                     let _ = file.flush();
                 }
-                None => println!("{line}"),
+                None => outln!("{line}"),
             }
         })
         .map_err(|e| e.to_string())?;
@@ -664,12 +696,12 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             write_atomic(path, &report.render_aggregate())?;
             eprintln!("batch: aggregate written to {path}");
         }
-        None => print!("{}", report.render_aggregate()),
+        None => out!("{}", report.render_aggregate()),
     }
     eprintln!("{}", report.render_summary());
     if opts.explain {
-        println!("run trace:");
-        print!("{}", tel.report().render_explain());
+        outln!("run trace:");
+        out!("{}", tel.report().render_explain());
     }
 
     Ok(if report.all_definitive() {
@@ -1205,7 +1237,7 @@ fn run_client(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
         );
         std::thread::sleep(delay);
     };
-    println!("{response}");
+    outln!("{response}");
     let ok = oasys_telemetry::json::parse(&response)
         .ok()
         .and_then(|json| {

@@ -620,6 +620,69 @@ mod tests {
         }
     }
 
+    /// The noise analysis factors the admittance matrix once and solves
+    /// every injection against it. On case A's nulled bench its report —
+    /// every contribution and the totals — is bit-equal to solving each
+    /// generator, and the gain, with its own `AcSystem::solve`.
+    #[test]
+    fn noise_report_matches_per_source_solves_on_case_a() {
+        use oasys_netlist::Element;
+        use oasys_sim::ac::AcSystem;
+
+        let process = builtin::cmos_5um();
+        let spec = test_cases::spec_a();
+        let result = synthesize(&spec, &process).unwrap();
+        let (mut bench, out) =
+            build_bench(result.selected(), &process, spec.load().farads()).unwrap();
+        let offset = sweep::bisect_input(&bench, &process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+        bench.set_source_dc("VIP", offset).unwrap();
+        let dc_solution = dc::solve(&bench, &process).unwrap();
+        let frequency = 1e3;
+        let report =
+            oasys_sim::noise::analyze(&bench, &process, &dc_solution, out, frequency).unwrap();
+
+        // The reference: one fresh factorization per right-hand side.
+        let kt = 1.380649e-23 * 300.0;
+        let system = AcSystem::new(&bench, &process, &dc_solution);
+        let transfer = |b: &[oasys_sim::Complex]| {
+            let h = system.solve(frequency, b).unwrap();
+            system.to_node_voltages(&h)[out.index()].abs()
+        };
+        let gain = transfer(system.stimulus()).max(1e-18);
+        let mut expected: Vec<(String, f64)> = Vec::new();
+        for element in bench.elements() {
+            match element {
+                Element::Mos(m) => {
+                    let op = dc_solution.device_op(&m.name).unwrap();
+                    let gm_eff = op.gm().max(op.gds());
+                    if gm_eff > 0.0 {
+                        let h = transfer(&system.current_injection(m.drain, m.source));
+                        expected.push((m.name.clone(), (8.0 / 3.0) * kt * gm_eff * h * h));
+                    }
+                }
+                Element::Resistor(r) => {
+                    let h = transfer(&system.current_injection(r.a, r.b));
+                    expected.push((r.name.clone(), 4.0 * kt / r.ohms * h * h));
+                }
+                _ => {}
+            }
+        }
+        expected.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let output_psd: f64 = expected.iter().map(|(_, psd)| psd).sum();
+
+        assert!(report.contributions.len() > 5, "every device contributes");
+        assert_eq!(report.contributions.len(), expected.len());
+        for (got, (name, psd)) in report.contributions.iter().zip(&expected) {
+            assert_eq!(&got.element, name);
+            assert_eq!(got.output_psd.to_bits(), psd.to_bits(), "{name}");
+        }
+        assert_eq!(report.output_psd.to_bits(), output_psd.to_bits());
+        assert_eq!(
+            report.input_density.to_bits(),
+            (output_psd.sqrt() / gain).to_bits()
+        );
+    }
+
     #[test]
     fn psrr_is_measured_and_positive() {
         let process = builtin::cmos_5um();

@@ -139,3 +139,31 @@ fn cli_lint_rejects_bad_format() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("yaml"));
 }
+
+/// `oasys … | head -1`: the reader closes the pipe long before the
+/// report is written. The printing subcommands exit quietly instead of
+/// panicking with "failed printing to stdout: Broken pipe" (status 101).
+#[test]
+fn cli_exits_quietly_when_stdout_closes_early() {
+    use std::process::Stdio;
+    let root = repo_root();
+    for args in [
+        &["data/spec-a.txt", "data/generic-5um.tech"][..],
+        &["lint", "data/spec-a.txt", "data/generic-5um.tech"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .current_dir(&root)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the read end before the first line arrives.
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+        assert_ne!(output.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}

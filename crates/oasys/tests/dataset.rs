@@ -12,7 +12,10 @@ use std::time::Duration;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
-/// Serializes fault-plane tests and guarantees a clean registry on exit.
+/// Serializes the tests of this file and guarantees a clean fault
+/// registry on exit. The registry is process-global, so a test that arms
+/// a fault must not overlap one that runs the pipeline expecting none:
+/// every test that generates takes the guard.
 struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl FaultGuard {
@@ -88,6 +91,7 @@ fn read(path: PathBuf) -> String {
 
 #[test]
 fn two_shard_merge_is_byte_identical_to_one_shard() {
+    let _guard = FaultGuard::acquire();
     let manifest = sampled_manifest();
     let one = tmp_dir("identity-one");
     let two = tmp_dir("identity-two");
@@ -107,6 +111,7 @@ fn two_shard_merge_is_byte_identical_to_one_shard() {
 
 #[test]
 fn seeded_generation_is_reproducible() {
+    let _guard = FaultGuard::acquire();
     let manifest = sampled_manifest();
     let a = tmp_dir("repro-a");
     let b = tmp_dir("repro-b");
@@ -117,6 +122,7 @@ fn seeded_generation_is_reproducible() {
 
 #[test]
 fn every_record_validates_and_carries_provenance() {
+    let _guard = FaultGuard::acquire();
     let manifest = sampled_manifest();
     let dir = tmp_dir("schema");
     generate_all(&manifest, &dir, 1, false);
@@ -151,6 +157,7 @@ fn every_record_validates_and_carries_provenance() {
 
 #[test]
 fn monte_carlo_siblings_measure_differently() {
+    let _guard = FaultGuard::acquire();
     // One spec, one tech, three MC instances with strong mismatch;
     // verification ON so the draws reach the simulator.
     let manifest = Manifest::parse(&format!(
@@ -243,6 +250,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 #[test]
 fn flipped_bytes_in_published_shard_quarantine_and_heal_byte_identical() {
+    let _guard = FaultGuard::acquire();
     // Property: flip arbitrary bytes in a published shard; the merge
     // must refuse to publish (quarantining exactly the damaged lines),
     // and re-running the shard must heal it back to a byte-identical
@@ -302,6 +310,7 @@ fn flipped_bytes_in_published_shard_quarantine_and_heal_byte_identical() {
 
 #[test]
 fn published_shard_reruns_are_no_ops() {
+    let _guard = FaultGuard::acquire();
     let manifest = sampled_manifest();
     let dir = tmp_dir("republish");
     let first = dataset::generate(
@@ -324,6 +333,7 @@ fn published_shard_reruns_are_no_ops() {
 
 #[test]
 fn telemetry_counts_records_and_rejections() {
+    let _guard = FaultGuard::acquire();
     // A range straddling the 90° phase-margin ceiling rejects some
     // draws; both counters must land in the telemetry report.
     let manifest = Manifest::parse(&format!(
@@ -336,7 +346,7 @@ fn telemetry_counts_records_and_rejections() {
     let tel = Telemetry::new();
     let report = dataset::generate(&manifest, &dir, &fast_options(1, 0, false), &tel).unwrap();
     assert!(report.samples_rejected > 0);
-    assert_eq!(report.records + 0, report.executed);
+    assert_eq!(report.records, report.executed);
     let rendered = tel.report().render_metrics_json();
     assert!(rendered.contains("dataset.records"), "{rendered}");
     assert!(rendered.contains("dataset.samples_rejected"), "{rendered}");

@@ -9,7 +9,7 @@
 
 use crate::complex::Complex;
 use crate::dc::{DcSolution, SolveDcError};
-use crate::linalg::Matrix;
+use crate::linalg::{LuWorkspace, Matrix};
 use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
@@ -443,6 +443,13 @@ impl AcSystem {
     ///
     /// Reports a singular admittance matrix.
     pub fn solve(&self, freq: f64, b: &[Complex]) -> Result<Vec<Complex>, SolveAcError> {
+        Ok(self.factor(freq)?.solve(b).to_vec())
+    }
+
+    /// Assembles `Y(f)` and factors it once, so any number of right-hand
+    /// sides at that frequency solve against the same factors — each
+    /// solution bit-equal to a [`AcSystem::solve`] of it.
+    pub(crate) fn factor(&self, freq: f64) -> Result<AcFactors, SolveAcError> {
         let omega = 2.0 * std::f64::consts::PI * freq;
         let mut y = self.g_matrix.clone();
         for &(ia, ib, farads) in &self.caps {
@@ -460,8 +467,10 @@ impl AcSystem {
                 }
             }
         }
-        y.solve(b)
-            .map_err(|_| SolveAcError::Singular { frequency: freq })
+        let mut workspace = LuWorkspace::new(y.n());
+        y.factor_in_place(&mut workspace)
+            .map_err(|_| SolveAcError::Singular { frequency: freq })?;
+        Ok(AcFactors { lu: y, workspace })
     }
 
     /// Expands an unknown vector into per-node voltages (ground at
@@ -471,6 +480,20 @@ impl AcSystem {
         let mut values = vec![Complex::ZERO; self.node_count];
         values[1..self.node_count].copy_from_slice(&x[..self.node_count - 1]);
         values
+    }
+}
+
+/// The admittance matrix of an [`AcSystem`] factored at one frequency.
+pub(crate) struct AcFactors {
+    lu: Matrix<Complex>,
+    workspace: LuWorkspace<Complex>,
+}
+
+impl AcFactors {
+    /// Solves `Y(f)·x = b` against the factors. The solution lives in
+    /// the factors' workspace until the next solve.
+    pub(crate) fn solve(&mut self, b: &[Complex]) -> &[Complex] {
+        self.lu.solve_factored(b, &mut self.workspace)
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! * [`complex`] — complex arithmetic (no external dependency),
 //! * [`linalg`] — dense LU factorization with partial pivoting, generic
-//!   over real and complex scalars (the Newton loops factor in place
-//!   into buffers reused across iterations),
+//!   over real and complex scalars: one sparse-aware kernel with separate
+//!   factor and solve-against-factors steps, factoring in place into
+//!   buffers reused across iterations,
 //! * [`mna`] — modified nodal analysis stamps,
 //! * [`dc`] — Newton–Raphson DC operating point with damping, `gmin`
 //!   stepping and source stepping fallbacks,
@@ -18,8 +19,9 @@
 //! * [`sweep`] — DC transfer sweeps and bias bisection, each point
 //!   warm-started from the previous point's solution with a fallback to
 //!   the cold [`dc`] strategies,
-//! * [`tran`] — fixed-step backward-Euler transient analysis (slew-rate
-//!   measurements),
+//! * [`tran`] — fixed-step backward-Euler transient analysis with chord
+//!   Newton, which keeps one factorization across iterations and steps
+//!   (slew-rate measurements),
 //! * [`metrics`] — datasheet-style measurements: DC gain, unity-gain
 //!   frequency, phase margin, −3 dB bandwidth, output swing, systematic
 //!   offset, supply power,

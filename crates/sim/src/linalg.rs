@@ -2,8 +2,17 @@
 //! complex scalars.
 //!
 //! MNA matrices for the circuits OASYS synthesizes are tiny (tens of
-//! unknowns), so a dense O(n³) solver is the right tool; sparse machinery
-//! would be pure overhead.
+//! unknowns), so dense storage is the right tool; sparse data structures
+//! would be pure overhead. The one kernel every analysis shares is
+//! nonetheless sparse-aware: rows are swapped physically so each sits
+//! contiguously, the elimination and substitution loops run over slices,
+//! and a row whose entry in the pivot column is exactly zero — most rows
+//! of an MNA Jacobian — skips its elimination update. The kernel splits
+//! into a crate-private *factor* step and a *solve against factors* step,
+//! so the transient solver can keep one factorization across Newton
+//! iterations and timesteps and the noise analysis can solve every
+//! injection against one factored admittance matrix; [`Matrix::solve`]
+//! is a thin wrapper over both.
 
 use crate::complex::Complex;
 use std::fmt;
@@ -121,7 +130,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Solves `A·x = b` by LU with partial pivoting on a copy of the
     /// matrix (the receiver is untouched). A thin wrapper over the
-    /// in-place factorization the Newton loops use.
+    /// crate's factor and solve-against-factors steps.
     ///
     /// # Errors
     ///
@@ -151,76 +160,115 @@ impl<T: Scalar> Matrix<T> {
         b: &[T],
         workspace: &'w mut LuWorkspace<T>,
     ) -> Result<&'w [T], SingularMatrixError> {
-        assert_eq!(b.len(), self.n, "rhs length must match matrix dimension");
-        assert_eq!(
-            workspace.x.len(),
-            self.n,
-            "workspace must match matrix dimension"
-        );
-        self.factorize_in_place(&mut workspace.perm)?;
-        self.solve_factored(workspace, b);
-        Ok(&workspace.x)
+        self.factor_in_place(workspace)?;
+        Ok(self.solve_factored(b, workspace))
     }
 
-    /// In-place LU factorization with partial pivoting, recording the
-    /// row permutation in `perm`.
-    fn factorize_in_place(&mut self, perm: &mut [usize]) -> Result<(), SingularMatrixError> {
+    /// Overwrites the matrix with its LU factors under partial pivoting
+    /// (unit-diagonal `L` strictly below the diagonal, `U` on and above),
+    /// recording the row permutation in `workspace`. Rows are swapped
+    /// physically, so every factored row is one contiguous slice.
+    ///
+    /// The pivot is the first entry of largest magnitude on or below the
+    /// diagonal. A row whose entry in the pivot column is exactly zero
+    /// skips the elimination update — subtracting a zero multiple leaves
+    /// it unchanged — which is most rows of a sparse MNA Jacobian.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] if no pivot above the absolute
+    /// threshold `1e-300` exists in some column; the matrix then holds a
+    /// partial factorization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace does not match the matrix dimension.
+    pub(crate) fn factor_in_place(
+        &mut self,
+        workspace: &mut LuWorkspace<T>,
+    ) -> Result<(), SingularMatrixError> {
         let n = self.n;
+        let perm = &mut workspace.perm;
+        assert_eq!(perm.len(), n, "workspace must match matrix dimension");
         for (k, p) in perm.iter_mut().enumerate() {
             *p = k;
         }
         for k in 0..n {
-            // Find the pivot row.
             let mut best = k;
-            let mut best_norm = self.data[perm[k] * n + k].norm();
-            for (offset, &row) in perm.iter().enumerate().skip(k + 1) {
+            let mut best_norm = self.data[k * n + k].norm();
+            for row in k + 1..n {
                 let candidate = self.data[row * n + k].norm();
                 if candidate > best_norm {
-                    best = offset;
+                    best = row;
                     best_norm = candidate;
                 }
             }
             if best_norm < 1e-300 || !best_norm.is_finite() {
                 return Err(SingularMatrixError { column: k });
             }
-            perm.swap(k, best);
-            let pivot_row = perm[k];
-            let pivot = self.data[pivot_row * n + k];
-            for &row in &perm[k + 1..] {
-                let factor = self.data[row * n + k] / pivot;
-                self.data[row * n + k] = factor;
-                for j in k + 1..n {
-                    let sub = factor * self.data[pivot_row * n + j];
-                    self.data[row * n + j] = self.data[row * n + j] - sub;
+            if best != k {
+                let (upper, lower) = self.data.split_at_mut(best * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                perm.swap(k, best);
+            }
+            let (done, below) = self.data.split_at_mut((k + 1) * n);
+            let pivot_row = &done[k * n..];
+            let pivot = pivot_row[k];
+            let pivot_tail = &pivot_row[k + 1..];
+            for row in below.chunks_exact_mut(n) {
+                let entry = row[k];
+                // The multiplier is stored even when zero, so the factors
+                // carry the same signed zeros as a full elimination.
+                let factor = entry / pivot;
+                row[k] = factor;
+                if entry == T::ZERO {
+                    continue;
+                }
+                for (r, &p) in row[k + 1..].iter_mut().zip(pivot_tail) {
+                    *r = *r - factor * p;
                 }
             }
         }
         Ok(())
     }
 
-    /// Forward/back substitution against the factors and permutation in
-    /// `workspace`, writing the solution to `workspace.x`.
-    // The permuted row indexing makes iterator rewrites less readable.
-    #[allow(clippy::needless_range_loop)]
-    fn solve_factored(&self, workspace: &mut LuWorkspace<T>, b: &[T]) {
+    /// Forward and back substitution of `b` against factors produced by
+    /// [`Matrix::factor_in_place`] and the permutation it recorded in
+    /// `workspace`. Returns the solution, which lives in the workspace
+    /// until its next use. Any number of right-hand sides may be solved
+    /// against one factorization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or the workspace does not match the matrix
+    /// dimension.
+    pub(crate) fn solve_factored<'w>(&self, b: &[T], workspace: &'w mut LuWorkspace<T>) -> &'w [T] {
         let n = self.n;
+        assert_eq!(b.len(), n, "rhs length must match matrix dimension");
+        assert_eq!(
+            workspace.x.len(),
+            n,
+            "workspace must match matrix dimension"
+        );
         let LuWorkspace { perm, y, x } = workspace;
         // Forward: L·y = P·b (unit diagonal L).
         for k in 0..n {
-            let mut acc = b[perm[k]];
-            for j in 0..k {
-                acc = acc - self.data[perm[k] * n + j] * y[j];
-            }
-            y[k] = acc;
+            let row = &self.data[k * n..(k + 1) * n];
+            y[k] = row[..k]
+                .iter()
+                .zip(&y[..k])
+                .fold(b[perm[k]], |acc, (&l, &yj)| acc - l * yj);
         }
         // Back: U·x = y.
         for k in (0..n).rev() {
-            let mut acc = y[k];
-            for j in k + 1..n {
-                acc = acc - self.data[perm[k] * n + j] * x[j];
-            }
-            x[k] = acc / self.data[perm[k] * n + k];
+            let row = &self.data[k * n..(k + 1) * n];
+            let acc = row[k + 1..]
+                .iter()
+                .zip(&x[k + 1..])
+                .fold(y[k], |acc, (&u, &xj)| acc - u * xj);
+            x[k] = acc / row[k];
         }
+        x
     }
 
     /// Computes `A·x` (for residual checks and tests).
@@ -385,5 +433,283 @@ mod tests {
     fn stamp_bounds_checked() {
         let mut m: Matrix<f64> = Matrix::zeros(2);
         m.stamp(2, 0, 1.0);
+    }
+
+    // ---------------------------------------------------------------
+    // Differential checks against the original perm-indexed kernel
+    // ---------------------------------------------------------------
+
+    /// The LU the kernel replaced, kept verbatim as a reference: rows
+    /// stay in place, a permutation vector indexes them, and every row
+    /// below the pivot is updated whether or not its multiplier is zero.
+    fn reference_solve<T: Scalar>(m: &Matrix<T>, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
+        let n = m.n;
+        let mut a = m.data.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            let mut best = k;
+            let mut best_norm = a[perm[k] * n + k].norm();
+            for (offset, &row) in perm.iter().enumerate().skip(k + 1) {
+                let candidate = a[row * n + k].norm();
+                if candidate > best_norm {
+                    best = offset;
+                    best_norm = candidate;
+                }
+            }
+            if best_norm < 1e-300 || !best_norm.is_finite() {
+                return Err(SingularMatrixError { column: k });
+            }
+            perm.swap(k, best);
+            let pivot_row = perm[k];
+            let pivot = a[pivot_row * n + k];
+            for &row in &perm[k + 1..] {
+                let factor = a[row * n + k] / pivot;
+                a[row * n + k] = factor;
+                for j in k + 1..n {
+                    let sub = factor * a[pivot_row * n + j];
+                    a[row * n + j] = a[row * n + j] - sub;
+                }
+            }
+        }
+        let mut y = vec![T::ZERO; n];
+        for k in 0..n {
+            let mut acc = b[perm[k]];
+            for j in 0..k {
+                acc = acc - a[perm[k] * n + j] * y[j];
+            }
+            y[k] = acc;
+        }
+        let mut x = vec![T::ZERO; n];
+        for k in (0..n).rev() {
+            let mut acc = y[k];
+            for j in k + 1..n {
+                acc = acc - a[perm[k] * n + j] * x[j];
+            }
+            x[k] = acc / a[perm[k] * n + k];
+        }
+        Ok(x)
+    }
+
+    /// Bit patterns of a solution, so `-0.0` and `0.0` (and NaN
+    /// payloads) count as different.
+    trait Bits {
+        fn bits(&self) -> Vec<u64>;
+    }
+
+    impl Bits for [f64] {
+        fn bits(&self) -> Vec<u64> {
+            self.iter().map(|v| v.to_bits()).collect()
+        }
+    }
+
+    impl Bits for [Complex] {
+        fn bits(&self) -> Vec<u64> {
+            self.iter()
+                .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+                .collect()
+        }
+    }
+
+    /// Asserts the kernel and the reference agree bit for bit — on the
+    /// solution through both [`Matrix::solve`] and a factor reused for a
+    /// second right-hand side, or on the singular column.
+    fn assert_matches_reference<T: Scalar>(m: &Matrix<T>, rhs: &[Vec<T>], label: &str)
+    where
+        [T]: Bits,
+    {
+        let reference: Vec<_> = rhs.iter().map(|b| reference_solve(m, b)).collect();
+        for (b, expected) in rhs.iter().zip(&reference) {
+            match (m.solve(b), expected) {
+                (Ok(x), Ok(x_ref)) => assert_eq!(x.bits(), x_ref.bits(), "{label}: solution"),
+                (Err(e), Err(e_ref)) => assert_eq!(e, *e_ref, "{label}: singular column"),
+                (got, want) => panic!("{label}: kernel {got:?}, reference {want:?}"),
+            }
+        }
+        // One factorization, every right-hand side.
+        let mut lu = m.clone();
+        let mut workspace = LuWorkspace::new(m.n());
+        match lu.factor_in_place(&mut workspace) {
+            Ok(()) => {
+                for (b, expected) in rhs.iter().zip(&reference) {
+                    let x = lu.solve_factored(b, &mut workspace);
+                    let x_ref = expected.as_ref().expect("reference factors too");
+                    assert_eq!(x.bits(), x_ref.bits(), "{label}: reused factors");
+                }
+            }
+            Err(e) => assert_eq!(Err(e), reference[0].clone().map(|_| ()), "{label}"),
+        }
+    }
+
+    fn random_real(rng: &mut Rng) -> f64 {
+        rng.range_f64(-1.0, 1.0)
+    }
+
+    fn random_complex(rng: &mut Rng) -> Complex {
+        Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0))
+    }
+
+    use oasys_testutil::Rng;
+
+    #[test]
+    fn dense_random_systems_match_the_reference_kernel() {
+        for case in 0..40 {
+            let mut rng = Rng::for_case("linalg dense", case);
+            let n = 1 + (case as usize % 24);
+            let mut real: Matrix<f64> = Matrix::zeros(n);
+            let mut complex: Matrix<Complex> = Matrix::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    real[(i, j)] = random_real(&mut rng);
+                    complex[(i, j)] = random_complex(&mut rng);
+                }
+            }
+            let rhs_real: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..n).map(|_| random_real(&mut rng)).collect())
+                .collect();
+            let rhs_complex: Vec<Vec<Complex>> = (0..3)
+                .map(|_| (0..n).map(|_| random_complex(&mut rng)).collect())
+                .collect();
+            assert_matches_reference(&real, &rhs_real, &format!("dense real case {case}"));
+            assert_matches_reference(
+                &complex,
+                &rhs_complex,
+                &format!("dense complex case {case}"),
+            );
+        }
+    }
+
+    /// An MNA-shaped system built through [`Matrix::stamp`]: random
+    /// two-terminal conductances over `nodes` node rows (some to ground),
+    /// a small `gmin` on every node diagonal, and `branches` voltage
+    /// source rows whose zero diagonals force row swaps. Most entries of
+    /// every pivot column are exactly zero.
+    fn mna_shaped(rng: &mut Rng, nodes: usize, branches: usize) -> Matrix<f64> {
+        let n = nodes + branches;
+        let mut m: Matrix<f64> = Matrix::zeros(n);
+        for i in 0..nodes {
+            m.stamp(i, i, 1e-12);
+        }
+        for _ in 0..2 * nodes {
+            let a = rng.range_u64(0, nodes as u64) as usize;
+            let b = rng.range_u64(0, nodes as u64 + 1) as usize;
+            let g = 10f64.powf(rng.range_f64(-6.0, -2.0));
+            m.stamp(a, a, g);
+            if b < nodes && b != a {
+                m.stamp(b, b, g);
+                m.stamp(a, b, -g);
+                m.stamp(b, a, -g);
+            }
+        }
+        // A transconductance or two, which break symmetry.
+        for _ in 0..nodes / 3 {
+            let a = rng.range_u64(0, nodes as u64) as usize;
+            let c = rng.range_u64(0, nodes as u64) as usize;
+            m.stamp(a, c, rng.range_f64(-1e-3, 1e-3));
+        }
+        for k in 0..branches {
+            let node = rng.range_u64(0, nodes as u64) as usize;
+            m.stamp(node, nodes + k, 1.0);
+            m.stamp(nodes + k, node, 1.0);
+        }
+        m
+    }
+
+    #[test]
+    fn mna_shaped_sparse_systems_match_the_reference_kernel() {
+        for case in 0..60 {
+            let mut rng = Rng::for_case("linalg mna", case);
+            let nodes = 3 + rng.range_u64(0, 18) as usize;
+            let branches = rng.range_u64(1, 5) as usize;
+            let m = mna_shaped(&mut rng, nodes, branches);
+            // Newton right-hand sides are negated residuals, zeros
+            // included, so `-0.0` entries appear in practice.
+            let rhs: Vec<Vec<f64>> = (0..3)
+                .map(|_| {
+                    (0..m.n())
+                        .map(|_| match rng.range_u64(0, 3) {
+                            0 => -0.0,
+                            _ => random_real(&mut rng),
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_matches_reference(&m, &rhs, &format!("mna case {case}"));
+        }
+    }
+
+    #[test]
+    fn forced_row_swaps_match_the_reference_kernel() {
+        for case in 0..30 {
+            let mut rng = Rng::for_case("linalg swaps", case);
+            let n = 2 + (case as usize % 12);
+            // A random permutation of a diagonally dominant matrix: the
+            // dominant entry of each column sits off the diagonal, so
+            // every column pivots on a swap. Ties in magnitude resolve
+            // to the first row in either kernel.
+            let mut rows: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                rows.swap(i, rng.range_u64(0, i as u64 + 1) as usize);
+            }
+            let mut m: Matrix<f64> = Matrix::zeros(n);
+            for (i, &target) in rows.iter().enumerate() {
+                for j in 0..n {
+                    m[(target, j)] = if i == j {
+                        4.0
+                    } else if rng.range_u64(0, 2) == 0 {
+                        0.0
+                    } else {
+                        random_real(&mut rng)
+                    };
+                }
+            }
+            // Exact magnitude ties between candidate pivots.
+            m[(rows[0], 1 % n)] = -4.0;
+            let rhs: Vec<Vec<f64>> = (0..2)
+                .map(|_| (0..n).map(|_| random_real(&mut rng)).collect())
+                .collect();
+            assert_matches_reference(&m, &rhs, &format!("swap case {case}"));
+        }
+    }
+
+    #[test]
+    fn singular_columns_match_the_reference_kernel() {
+        for case in 0..30 {
+            let mut rng = Rng::for_case("linalg singular", case);
+            let n = 2 + (case as usize % 10);
+            let mut m = mna_shaped(&mut rng, n, 1);
+            let dim = m.n();
+            match case % 3 {
+                // An all-zero column.
+                0 => {
+                    let col = rng.range_u64(0, dim as u64) as usize;
+                    for i in 0..dim {
+                        m[(i, col)] = 0.0;
+                    }
+                }
+                // A row repeated exactly.
+                1 => {
+                    let (a, b) = (0, 1 + rng.range_u64(0, dim as u64 - 1) as usize);
+                    for j in 0..dim {
+                        m[(b, j)] = m[(a, j)];
+                    }
+                }
+                // An all-zero row.
+                _ => {
+                    let row = rng.range_u64(0, dim as u64) as usize;
+                    for j in 0..dim {
+                        m[(row, j)] = 0.0;
+                    }
+                }
+            }
+            let rhs: Vec<Vec<f64>> = vec![(0..dim).map(|_| random_real(&mut rng)).collect()];
+            assert!(m.solve(&rhs[0]).is_err(), "singular case {case} must fail");
+            assert_matches_reference(&m, &rhs, &format!("singular case {case}"));
+        }
+    }
+
+    #[test]
+    fn empty_system_solves() {
+        let m: Matrix<f64> = Matrix::zeros(0);
+        assert_eq!(m.solve(&[]).unwrap(), Vec::<f64>::new());
     }
 }

@@ -4,8 +4,10 @@
 //! every saturated MOSFET (`S_id = (8/3)·kT·gm` A²/Hz) and the Johnson
 //! noise of every resistor (`S_i = 4kT/R`) — a unit AC current is injected
 //! across the element and the transfer to the output node is solved on
-//! the shared [`crate::ac::AcSystem`]. The per-generator contributions
-//! add in power:
+//! the shared [`crate::ac::AcSystem`] — every injection, and the gain
+//! used for input referral, against one factorization of the admittance
+//! matrix at the analysis frequency. The per-generator contributions add
+//! in power:
 //!
 //! ```text
 //! S_out(f) = Σ_k  S_k · |H_k(f)|²          (V²/Hz at the output)
@@ -76,10 +78,12 @@ pub fn analyze(
     frequency: f64,
 ) -> Result<NoiseReport, SolveAcError> {
     let system = AcSystem::new(circuit, process, dc);
+    // One factorization of Y(f) serves the gain and every injection.
+    let mut factors = system.factor(frequency)?;
 
     // Gain from the circuit's own stimulus, for input referral.
-    let x = system.solve(frequency, system.stimulus())?;
-    let gain = system.to_node_voltages(&x)[output.index()].abs().max(1e-18);
+    let x = factors.solve(system.stimulus());
+    let gain = system.to_node_voltages(x)[output.index()].abs().max(1e-18);
 
     let mut contributions: Vec<NoiseContribution> = Vec::new();
 
@@ -98,8 +102,8 @@ pub fn analyze(
                 }
                 let psd_current = (8.0 / 3.0) * KT * gm_eff;
                 let b = system.current_injection(m.drain, m.source);
-                let h = system.solve(frequency, &b)?;
-                let transfer = system.to_node_voltages(&h)[output.index()].abs();
+                let h = factors.solve(&b);
+                let transfer = system.to_node_voltages(h)[output.index()].abs();
                 contributions.push(NoiseContribution {
                     element: m.name.clone(),
                     output_psd: psd_current * transfer * transfer,
@@ -108,8 +112,8 @@ pub fn analyze(
             Element::Resistor(r) => {
                 let psd_current = 4.0 * KT / r.ohms;
                 let b = system.current_injection(r.a, r.b);
-                let h = system.solve(frequency, &b)?;
-                let transfer = system.to_node_voltages(&h)[output.index()].abs();
+                let h = factors.solve(&b);
+                let transfer = system.to_node_voltages(h)[output.index()].abs();
                 contributions.push(NoiseContribution {
                     element: r.name.clone(),
                     output_psd: psd_current * transfer * transfer,

@@ -135,6 +135,20 @@ fn verify_records_simulator_work() {
         tel.counter("sim.tran.steps") > 0,
         "slew bench runs transient"
     );
+    // Chord Newton: the transient keeps its LU factors across iterations
+    // and steps, so it factors at most once per ten steps (deterministic
+    // work counts, not timings).
+    let (steps, iterations, factorizations) = (
+        tel.counter("sim.tran.steps"),
+        tel.counter("sim.tran.newton_iterations"),
+        tel.counter("sim.tran.factorizations"),
+    );
+    assert!(iterations >= steps, "every step iterates at least once");
+    assert!(factorizations > 0, "every run factors at least once");
+    assert!(
+        10 * factorizations <= steps,
+        "{factorizations} factorizations over {steps} transient steps"
+    );
 
     let names: Vec<String> = tel
         .report()
@@ -163,5 +177,30 @@ fn verify_records_simulator_work() {
     let report = tel.report();
     for span in report.spans() {
         assert!(span.end_ns.is_some(), "span {} left open", span.name);
+    }
+    // Each transient span carries its own work counts, which sum to the
+    // counters.
+    let tran_spans: Vec<_> = report
+        .spans()
+        .iter()
+        .filter(|s| s.name == "sim:tran")
+        .collect();
+    assert!(!tran_spans.is_empty());
+    for (key, counter) in [
+        ("newton_iterations", iterations),
+        ("factorizations", factorizations),
+    ] {
+        let annotated: u64 = tran_spans
+            .iter()
+            .map(|span| {
+                let (_, value) = span
+                    .attrs
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("sim:tran span lacks {key}"));
+                value.parse::<u64>().unwrap()
+            })
+            .sum();
+        assert_eq!(annotated, counter, "{key} annotations sum to the counter");
     }
 }
